@@ -10,26 +10,20 @@ works even where the path argument has a gap (k-l odd with
 floor((k-l)/2) still a meaningful profile).
 """
 
-from crossint import (Params, WeightedBipartiteGraph,
-                      build_chain_decomposition, build_orbit_graph,
+from crossint import (Params, build_chain_decomposition, build_orbit_graph,
                       decomposition_to_dot, max_weight_independent_set,
                       size_extremal_family, validate_decomposition)
 
 
 def flow_certificate(params):
-    graph = build_orbit_graph(params)
-    side1 = tuple(((1, v.i), v.weight) for v in graph.side1)
-    side2 = tuple(((2, v.i), v.weight) for v in graph.side2)
-    edges = tuple(((1, i), (2, t)) for i, t in sorted(graph.edges))
     _, weight = max_weight_independent_set(
-        WeightedBipartiteGraph(side1, side2, edges))
+        build_orbit_graph(params).as_bipartite())
     return weight
 
 
 def show(params):
-    graph = build_orbit_graph(params)
     dec = build_chain_decomposition(params)
-    verdict = validate_decomposition(dec, graph)
+    verdict = validate_decomposition(dec, dec.graph)
     print(f"(n, k, s) = ({params.n}, {params.k}, {params.s})   "
           f"slack l = {params.l}")
     for path in dec.paths:

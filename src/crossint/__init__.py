@@ -12,9 +12,10 @@ __version__ = "0.1.0"
 
 from .errors import (BadIndices, ConfigError, CrossIntError,
                      DecompositionViolation, EnumerationTooLarge,
-                     GroundMismatch, IndexNotMeaningful, NotACover,
+                     FlowCertificateError, GroundMismatch,
+                     IndexNotMeaningful, NotACover,
                      NotAFractionalIndependentSet, ParamsOutOfRange,
-                     TypedEdgeNotInW)
+                     ShiftSizeChanged, TypedEdgeNotInW)
 from .sets import (DEFAULT_ENUMERATION_CAP, Family, KSet, Params, binom,
                    enumerate_ksubsets, family_from_text, family_to_text,
                    intersection_size, is_s_cross_intersecting)

@@ -7,11 +7,10 @@ minimum cut corresponds one-to-one with an integral cover, and the
 maximum-weight independent set is its complement.
 """
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotACover, NotAFractionalIndependentSet
+from .errors import FlowCertificateError, NotACover, NotAFractionalIndependentSet
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,8 @@ class FlowNetwork:
         known = set(self.nodes)
         if self.source not in known or self.sink not in known:
             raise ValueError("source and sink must be listed in nodes")
+        if self.source == self.sink:
+            raise ValueError("source and sink must differ")
         for u, v, c in self.arcs:
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r}, {v!r}) uses an unknown node")
@@ -35,64 +36,78 @@ class FlowNetwork:
                                  f"nonnegative integer, got {c!r}")
 
 
-class _Dinic:
-    """Level-graph augmenting-path max flow; deterministic for a fixed
-    arc insertion order."""
+def _max_flow(num_nodes, arcs, src, dst):
+    """Dinic max flow on nodes 0..num_nodes-1 and int arcs (u, v, cap).
 
-    def __init__(self, num_nodes):
-        self.adj = [[] for _ in range(num_nodes)]
-
-    def add_arc(self, u, v, cap):
-        self.adj[u].append([v, cap, len(self.adj[v])])
-        self.adj[v].append([u, 0, len(self.adj[u]) - 1])
-
-    def max_flow(self, src, dst):
-        flow = 0
-        n = len(self.adj)
+    Arc e sits at slot 2e of the flat ``to``/``cap`` lists and its
+    residual twin at 2e+1 (``e ^ 1``).  Returns the flow value and a
+    per-node flag for reachability from src in the final residual
+    network; that side of the cut is the same for every maximum flow, so
+    it does not depend on augmentation order.  Raises
+    FlowCertificateError unless 0 <= sent <= cap on every arc, flow is
+    conserved at interior nodes and sink inflow = value = cut capacity.
+    """
+    out = [[] for _ in range(num_nodes)]
+    to, cap = [], []
+    for u, v, c in arcs:
+        out[u].append(len(to))
+        out[v].append(len(to) + 1)
+        to += (v, u)
+        cap += (c, 0)
+    value = 0
+    while True:
+        level = [-1] * num_nodes
+        level[src] = 0
+        queue = [src]
+        for u in queue:  # the loop also visits nodes appended below
+            for e in out[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[dst] < 0:
+            break
+        # Blocking flow without recursion: ``path`` is the stack of arcs
+        # from src to u, and ``it`` each node's first arc not yet dead.
+        it = [0] * num_nodes
+        path, u = [], src
         while True:
-            level = [-1] * n
-            level[src] = 0
-            queue = deque([src])
-            while queue:
-                u = queue.popleft()
-                for e in self.adj[u]:
-                    if e[1] > 0 and level[e[0]] < 0:
-                        level[e[0]] = level[u] + 1
-                        queue.append(e[0])
-            if level[dst] < 0:
-                return flow
-            it = [0] * n
+            if u == dst:
+                d = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= d
+                    cap[e ^ 1] += d
+                value += d
+                path, u = [], src
+            adj, i, nxt = out[u], it[u], level[u] + 1
+            while i < len(adj) and not (cap[adj[i]] and level[to[adj[i]]] == nxt):
+                i += 1
+            it[u] = i
+            if i < len(adj):
+                path.append(adj[i])
+                u = to[adj[i]]
+            elif u == src:
+                break
+            else:
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
-            def dfs(u, pushed):
-                if u == dst:
-                    return pushed
-                while it[u] < len(self.adj[u]):
-                    e = self.adj[u][it[u]]
-                    if e[1] > 0 and level[e[0]] == level[u] + 1:
-                        d = dfs(e[0], min(pushed, e[1]))
-                        if d > 0:
-                            e[1] -= d
-                            self.adj[e[0]][e[2]][1] += d
-                            return d
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(src, 1 << 300)
-                if pushed == 0:
-                    break
-                flow += pushed
-
-    def reachable(self, src):
-        seen = {src}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                if e[1] > 0 and e[0] not in seen:
-                    seen.add(e[0])
-                    queue.append(e[0])
-        return seen
+    reached = [lv >= 0 for lv in level]
+    balance = [0] * num_nodes
+    cut = 0
+    for e, (u, v, c) in enumerate(arcs):
+        sent = c - cap[2 * e]
+        if not 0 <= sent <= c:
+            raise FlowCertificateError(f"arc {e} carries {sent} of cap {c}")
+        balance[u] -= sent
+        balance[v] += sent
+        if reached[u] and not reached[v]:
+            cut += c
+    if any(b for x, b in enumerate(balance) if x != src and x != dst):
+        raise FlowCertificateError("flow not conserved at an interior node")
+    if not balance[dst] == value == cut:
+        raise FlowCertificateError(f"sink inflow {balance[dst]}, flow {value} "
+                                   f"and cut capacity {cut} differ")
+    return value, reached
 
 
 def max_flow(net: FlowNetwork):
@@ -100,30 +115,14 @@ def max_flow(net: FlowNetwork):
 
     The cut consists of the arcs leaving the residual-reachable side of
     the source, so its capacity equals the flow value; both facts are
-    asserted, along with flow conservation at interior nodes.
+    checked, along with flow conservation at interior nodes.
     """
     index = {node: i for i, node in enumerate(net.nodes)}
-    solver = _Dinic(len(net.nodes))
-    original = []
-    for u, v, c in net.arcs:
-        original.append(len(solver.adj[index[u]]))
-        solver.add_arc(index[u], index[v], c)
-    value = solver.max_flow(index[net.source], index[net.sink])
-
-    reach = solver.reachable(index[net.source])
-    cut = []
-    balance = {i: 0 for i in range(len(net.nodes))}
-    for (u, v, c), pos in zip(net.arcs, original):
-        residual = solver.adj[index[u]][pos][1]
-        sent = c - residual
-        assert 0 <= sent <= c
-        balance[index[u]] -= sent
-        balance[index[v]] += sent
-        if index[u] in reach and index[v] not in reach:
-            cut.append((u, v, c))
-    src, dst = index[net.source], index[net.sink]
-    assert all(balance[i] == 0 for i in balance if i not in (src, dst))
-    assert balance[dst] == value == sum(c for _, _, c in cut)
+    arcs = [(index[u], index[v], c) for u, v, c in net.arcs]
+    value, reached = _max_flow(len(net.nodes), arcs, index[net.source],
+                               index[net.sink])
+    cut = [arc for arc, (u, v, _) in zip(net.arcs, arcs)
+           if reached[u] and not reached[v]]
     return value, cut
 
 
@@ -136,67 +135,51 @@ class WeightedBipartiteGraph:
     edges: tuple  # (label in side1, label in side2)
 
     def __post_init__(self):
-        labels1 = [v for v, _ in self.side1]
-        labels2 = [v for v, _ in self.side2]
-        if len(set(labels1)) != len(labels1) or len(set(labels2)) != len(labels2):
+        s1 = {v for v, _ in self.side1}
+        s2 = {v for v, _ in self.side2}
+        if len(s1) != len(self.side1) or len(s2) != len(self.side2):
             raise ValueError("duplicate vertex labels within a side")
-        if set(labels1) & set(labels2):
+        if s1 & s2:
             raise ValueError("vertex labels shared across sides")
         for v, w in self.side1 + self.side2:
             if not isinstance(w, int) or w <= 0:
                 raise ValueError(f"weight of {v!r} must be a positive integer")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("duplicate edges")
-        s1, s2 = set(labels1), set(labels2)
         for u, v in self.edges:
             if u not in s1 or v not in s2:
                 raise ValueError(f"edge ({u!r}, {v!r}) does not go from "
                                  f"side1 to side2")
 
-    def weight_of(self, label):
-        for v, w in self.side1 + self.side2:
-            if v == label:
-                return w
-        raise KeyError(label)
-
     def total_weight(self) -> int:
         return sum(w for _, w in self.side1) + sum(w for _, w in self.side2)
-
-
-def _cover_network(g: WeightedBipartiteGraph):
-    # Middle arcs get capacity total+1: finite, never in a minimum cut.
-    big = g.total_weight() + 1
-    src, dst = ("source",), ("sink",)
-    nodes = [src] + [("1", v) for v, _ in g.side1] \
-        + [("2", v) for v, _ in g.side2] + [dst]
-    arcs = [(src, ("1", v), w) for v, w in g.side1]
-    arcs += [(("2", v), dst, w) for v, w in g.side2]
-    arcs += [(("1", u), ("2", v), big) for u, v in g.edges]
-    return FlowNetwork(tuple(nodes), tuple(arcs), src, dst)
 
 
 def min_weight_vertex_cover(g: WeightedBipartiteGraph):
     """A minimum-weight vertex cover and its exact weight.
 
-    Ties are broken by the cut reachable-set rule: side-1 vertices not
-    reachable in the final residual network plus side-2 vertices that
-    are reachable.  Deterministic for a fixed graph.
+    Flow runs from the source (node 0) through side 1, then side 2, to
+    the sink (the last node).  The cover is the side-1 vertices not
+    reachable in the final residual network plus the side-2 vertices
+    that are: the minimum cut closest to the source, which is unique, so
+    the result is deterministic.
     """
-    net = _cover_network(g)
-    value, cut = max_flow(net)
-    cover = set()
-    for u, v, _ in cut:
-        if u == ("source",):
-            cover.add(v[1])
-        else:
-            assert v == ("sink",)
-            cover.add(u[1])
+    sink = len(g.side1) + len(g.side2) + 1
+    node = {v: 1 + j for j, (v, _) in enumerate(g.side1 + g.side2)}
+    # Middle arcs get capacity total+1: finite, never in a minimum cut.
+    big = g.total_weight() + 1
+    arcs = [(0, node[v], w) for v, w in g.side1]
+    arcs += [(node[v], sink, w) for v, w in g.side2]
+    arcs += [(node[u], node[v], big) for u, v in g.edges]
+    value, reached = _max_flow(sink + 1, arcs, 0, sink)
+    cover = frozenset([v for v, _ in g.side1 if not reached[node[v]]]
+                      + [v for v, _ in g.side2 if reached[node[v]]])
     for u, v in g.edges:
         if u not in cover and v not in cover:
-            raise AssertionError(f"edge ({u!r}, {v!r}) left uncovered")
-    weights = dict(g.side1) | dict(g.side2)
-    assert sum(weights[v] for v in cover) == value
-    return frozenset(cover), value
+            raise FlowCertificateError(f"edge ({u!r}, {v!r}) left uncovered")
+    if sum(w for v, w in g.side1 + g.side2 if v in cover) != value:
+        raise FlowCertificateError(f"cover weight differs from flow {value}")
+    return cover, value
 
 
 def max_weight_independent_set(g: WeightedBipartiteGraph):
@@ -204,7 +187,9 @@ def max_weight_independent_set(g: WeightedBipartiteGraph):
     cover, cover_weight = min_weight_vertex_cover(g)
     chosen = frozenset(v for v, _ in g.side1 + g.side2 if v not in cover)
     for u, v in g.edges:
-        assert u not in chosen or v not in chosen
+        if u in chosen and v in chosen:
+            raise FlowCertificateError(f"edge ({u!r}, {v!r}) inside the "
+                                       f"independent set")
     return chosen, g.total_weight() - cover_weight
 
 

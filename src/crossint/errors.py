@@ -53,5 +53,14 @@ class NotACover(CrossIntError):
     """A claimed vertex cover leaves some edge uncovered."""
 
 
+class FlowCertificateError(CrossIntError):
+    """A flow, cover, independent-set or oracle answer failed its own
+    certificate check; raised, not asserted, so python -O keeps it."""
+
+
+class ShiftSizeChanged(CrossIntError):
+    """A family shift changed the number of members (a code defect)."""
+
+
 class ConfigError(CrossIntError):
     """A sweep specification is malformed."""

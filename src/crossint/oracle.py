@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .bipartite import WeightedBipartiteGraph, max_weight_independent_set
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, FlowCertificateError, ParamsOutOfRange
 from .extremal import build_extremal_family, size_extremal_family
 from .report import Verdict
 from .sets import Family, Params, binom, enumerate_ksubsets
@@ -43,9 +43,15 @@ def build_conflict_graph(ground: Family, s: int,
     if len(ground) > cap:
         raise EnumerationTooLarge(
             f"ground family of {len(ground)} sets exceeds cap {cap}")
-    edges = tuple((a, b) for a in ground for b in ground
-                  if (a.mask & b.mask).bit_count() < s)
+    member = {m.mask: m for m in ground}
+    edges = tuple((member[x], member[y])
+                  for x, y in _conflict_pairs(member, member, s))
     return ConflictGraph(ground, s, edges)
+
+
+def _conflict_pairs(masks1, masks2, s: int):
+    """Mask pairs (x, y), x from masks1 and y from masks2, with |x ∩ y| < s."""
+    return ((x, y) for x in masks1 for y in masks2 if (x & y).bit_count() < s)
 
 
 def _mis_two_copies(masks1, masks2, s: int):
@@ -55,20 +61,20 @@ def _mis_two_copies(masks1, masks2, s: int):
     """
     side1 = tuple(((1, m), 1) for m in masks1)
     side2 = tuple(((2, m), 1) for m in masks2)
-    edges = tuple(((1, a), (2, b)) for a in masks1 for b in masks2
-                  if (a & b).bit_count() < s)
+    edges = tuple(((1, x), (2, y))
+                  for x, y in _conflict_pairs(masks1, masks2, s))
     graph = WeightedBipartiteGraph(side1, side2, edges)
     chosen, value = max_weight_independent_set(graph)
     picked1 = sorted(m for side, m in chosen if side == 1)
     picked2 = sorted(m for side, m in chosen if side == 2)
-    assert value == len(picked1) + len(picked2)
+    if value != len(picked1) + len(picked2):
+        raise FlowCertificateError("MIS value differs from the picked count")
     return value, picked1, picked2
 
 
 def conflict_graph_mis(params: Params, cap: int = DEFAULT_ORACLE_CAP) -> int:
     """Exact MIS cardinality of the conflict graph on two copies of the
     extremal family minus the base set."""
-    from .errors import ParamsOutOfRange
     if params.l < 0:
         raise ParamsOutOfRange(f"need slack l >= 0, got {params.l}")
     if binom(params.n, params.k) > cap:
@@ -112,11 +118,13 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
     best = None
     for i in range(max(s, 2 * k - n), k + 1):
         anchor_a = _canonical_anchor(params, i)
-        assert (anchor_a & base).bit_count() == i
+        if (anchor_a & base).bit_count() != i:
+            raise FlowCertificateError(f"anchor profile is not {i}")
         side_a = [x for x in all_masks if (x & base).bit_count() >= s]
         side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
         value, picked_a, picked_b = _mis_two_copies(side_a, side_b, s)
-        assert anchor_a in picked_a and base in picked_b
+        if anchor_a not in picked_a or base not in picked_b:
+            raise FlowCertificateError(f"MIS dropped an anchor at size {i}")
         if best is None or value > best[0]:
             best = (value, picked_a, picked_b)
 

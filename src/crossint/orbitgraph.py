@@ -16,6 +16,7 @@ equal-weight middle edge is exactly what validate_decomposition checks.
 from dataclasses import dataclass
 from itertools import combinations
 
+from .bipartite import WeightedBipartiteGraph
 from .errors import (DecompositionViolation, EnumerationTooLarge,
                      IndexNotMeaningful, ParamsOutOfRange, TypedEdgeNotInW)
 from .extremal import min_pair_intersection, orbit_weight
@@ -46,14 +47,15 @@ class OrbitGraph:
     def has_edge(self, i: int, t: int) -> bool:
         return (i, t) in self.edges
 
-    def vertex(self, side: int, i: int) -> OrbitVertex:
-        for v in (self.side1 if side == 1 else self.side2):
-            if v.i == i:
-                return v
-        raise IndexNotMeaningful(f"no vertex with profile {i}")
-
     def one_side_weight(self) -> int:
         return sum(v.weight for v in self.side1)
+
+    def as_bipartite(self) -> WeightedBipartiteGraph:
+        """The same graph with vertices labelled (side, profile)."""
+        return WeightedBipartiteGraph(
+            tuple(((1, v.i), v.weight) for v in self.side1),
+            tuple(((2, v.i), v.weight) for v in self.side2),
+            tuple(((1, i), (2, t)) for i, t in sorted(self.edges)))
 
 
 def _require_graph_params(params: Params):
@@ -74,11 +76,10 @@ def build_orbit_graph(params: Params) -> OrbitGraph:
     side2 = tuple(OrbitVertex(2, i, orbit_weight(i, params)) for i in profiles)
     edges = frozenset((i, t) for i in profiles for t in profiles
                       if k - l <= i + t <= k + s - 1)
-    graph = OrbitGraph(params, side1, side2, edges)
     for i in profiles:
         if not any((i, t) in edges for t in profiles):
-            raise AssertionError(f"profile {i} is isolated; construction bug")
-    return graph
+            raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
+    return OrbitGraph(params, side1, side2, edges)
 
 
 @dataclass(frozen=True)
@@ -92,40 +93,35 @@ def classify_edges(graph: OrbitGraph):
     """Enumerate the three edge families, as (side-1 profile, side-2
     profile) pairs, and report which graph edges stay untyped.
 
-    Raises TypedEdgeNotInW if a typed edge is not a graph edge; that
-    would contradict the construction and is treated as a finding.
+    Raises TypedEdgeNotInW if a typed edge is not a graph edge, and
+    DecompositionViolation if two families share an edge; either would
+    contradict the construction and is treated as a finding.
     """
     params = graph.params
     k, s, l = params.k, params.s, params.l
-    profiles = set(graph.profiles())
+    profiles = graph.profiles()
 
-    typed = {}
-    for i in sorted(profiles):
-        typed[(i, k + s - 1 - i)] = 1
     band_lo = -(-(k - l) // 2)  # ceil((k-l)/2)
-    for i in sorted(profiles):
-        if band_lo <= i and 2 * i < k + s - 1:
-            assert (i, i) not in typed
-            typed[(i, i)] = 2
-    low_anchor = (k - l) // 2
-    high_anchor = (k + s - 1) // 2
-    offset = 1
-    while True:
-        lo, hi = low_anchor - offset, high_anchor + offset
-        if lo not in profiles or hi not in profiles:
-            break
-        assert (lo, hi) not in typed and (hi, lo) not in typed
-        typed[(lo, hi)] = 3
-        typed[(hi, lo)] = 3
-        offset += 1
+    pairs = [((i, k + s - 1 - i), 1) for i in profiles]
+    pairs += [((i, i), 2) for i in profiles
+              if band_lo <= i and 2 * i < k + s - 1]
+    lo, hi = (k - l) // 2 - 1, (k + s - 1) // 2 + 1
+    while lo in profiles and hi in profiles:
+        pairs += [((lo, hi), 3), ((hi, lo), 3)]
+        lo, hi = lo - 1, hi + 1
+    typed = dict(pairs)
+    if len(typed) != len(pairs):
+        raise DecompositionViolation(
+            f"typed edge families overlap for params {params}")
 
+    vertex_of = {(v.side, v.i): v for v in graph.side1 + graph.side2}
     out = []
     for (i, t), ty in sorted(typed.items()):
         if (i, t) not in graph.edges:
             raise TypedEdgeNotInW(
                 f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
                 f"for params {params}")
-        out.append(TypedEdge(graph.vertex(1, i), graph.vertex(2, t), ty))
+        out.append(TypedEdge(vertex_of[(1, i)], vertex_of[(2, t)], ty))
     untyped = sorted(graph.edges - set(typed))
     return out, untyped
 
@@ -143,6 +139,7 @@ class ChainDecomposition:
     paths: tuple
     edge_types: tuple
     middles: tuple
+    graph: OrbitGraph  # the graph the paths were taken from
 
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
@@ -200,7 +197,9 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
             prev = walk[-1]
             walk.append(step[0][0])
             walk_types.append(step[0][1])
-        assert len(walk) == len(component)
+        if len(walk) != len(component):
+            raise DecompositionViolation(
+                "walk does not cover its component", offending=walk)
 
         path = tuple(vertex_of[v] for v in walk)
         half = len(path) // 2
@@ -209,7 +208,8 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
         types.append(tuple(walk_types))
         middles.append(middle)
 
-    return ChainDecomposition(params, tuple(paths), tuple(types), tuple(middles))
+    return ChainDecomposition(params, tuple(paths), tuple(types),
+                              tuple(middles), graph)
 
 
 def path_mwis(weights) -> int:

@@ -6,7 +6,7 @@ when its image is not already a member, so the family size is always
 preserved.  A family fixed by every shift is called shifted.
 """
 
-from .errors import BadIndices
+from .errors import BadIndices, ShiftSizeChanged
 from .sets import Family, KSet
 
 
@@ -34,7 +34,8 @@ def shift_family(i: int, j: int, family: Family) -> Family:
     masks = family.masks()
     out = {_shift_mask(i, j, m) for m in masks}
     out |= {m for m in masks if _shift_mask(i, j, m) in masks}
-    assert len(out) == len(masks)
+    if len(out) != len(masks):
+        raise ShiftSizeChanged(f"({i}, {j})-shift changed the family size")
     return Family.from_masks(out, family.n, family.k)
 
 

@@ -20,7 +20,7 @@ from .orbitgraph import (build_chain_decomposition, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
 from .sets import Params, binom
-from .bipartite import WeightedBipartiteGraph, max_weight_independent_set
+from .bipartite import max_weight_independent_set
 
 CHECK_NAMES = ("theorem", "lemma1", "lemma2", "chains", "edges", "biregular",
                "hm")
@@ -125,12 +125,8 @@ def _check_lemma1(params: Params, spec: SweepSpec):
                             "inapplicable: needs s >= 2 and slack l >= 0")]
     records = []
     start = time.perf_counter()
-    graph = build_orbit_graph(params)
-    side1 = tuple(((1, v.i), v.weight) for v in graph.side1)
-    side2 = tuple(((2, v.i), v.weight) for v in graph.side2)
-    edges = tuple(((1, i), (2, t)) for i, t in sorted(graph.edges))
     _, weight = max_weight_independent_set(
-        WeightedBipartiteGraph(side1, side2, edges))
+        build_orbit_graph(params).as_bipartite())
     want = size_extremal_family(params) - 1
     records.append(_timed(Verdict(
         claim="lemma1.orbit-certificate",
@@ -158,13 +154,11 @@ def _check_lemma1(params: Params, spec: SweepSpec):
 def _check_lemma2(params: Params, spec: SweepSpec):
     if params.l < 0:
         return [skip_record(params, "lemma2", "inapplicable: slack l < 0")]
-    start = time.perf_counter()
-    part1 = check_mirror_weight_ordering(params).to_record("lemma2")
-    part1["millis"] = (time.perf_counter() - start) * 1000.0
-    start = time.perf_counter()
-    part2 = check_offset_weight_ordering(params).to_record("lemma2")
-    part2["millis"] = (time.perf_counter() - start) * 1000.0
-    return [part1, part2]
+    records = []
+    for check in (check_mirror_weight_ordering, check_offset_weight_ordering):
+        start = time.perf_counter()
+        records.append(_timed(check(params).to_record("lemma2"), start))
+    return records
 
 
 def _check_chains(params: Params, spec: SweepSpec):
@@ -172,9 +166,8 @@ def _check_chains(params: Params, spec: SweepSpec):
         return [skip_record(params, "chains",
                             "inapplicable: needs s >= 2 and slack l >= 0")]
     start = time.perf_counter()
-    graph = build_orbit_graph(params)
     dec = build_chain_decomposition(params)
-    verdict = validate_decomposition(dec, graph)
+    verdict = validate_decomposition(dec, dec.graph)
     return [_timed(verdict.to_record("chains"), start)]
 
 

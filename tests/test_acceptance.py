@@ -32,12 +32,8 @@ def report(num, label, ok, detail):
 
 
 def orbit_graph_mwis(params):
-    graph = build_orbit_graph(params)
-    side1 = tuple(((1, v.i), v.weight) for v in graph.side1)
-    side2 = tuple(((2, v.i), v.weight) for v in graph.side2)
-    edges = tuple(((1, i), (2, t)) for i, t in sorted(graph.edges))
     _, weight = max_weight_independent_set(
-        WeightedBipartiteGraph(side1, side2, edges))
+        build_orbit_graph(params).as_bipartite())
     return weight
 
 

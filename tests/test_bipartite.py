@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from crossint import (FlowNetwork, NotACover, NotAFractionalIndependentSet,
-                      Params, WeightedBipartiteGraph,
+from crossint import (FlowCertificateError, FlowNetwork, NotACover,
+                      NotAFractionalIndependentSet, Params,
+                      WeightedBipartiteGraph, bipartite,
                       check_fractional_weak_duality, max_flow,
                       max_weight_independent_set, min_weight_vertex_cover)
 from crossint.orbitgraph import build_orbit_graph
@@ -16,14 +17,6 @@ def graph_3_2_4():
     # side1 = {a(3), b(2)}, side2 = {c(4)}, single edge a-c
     return WeightedBipartiteGraph((("a", 3), ("b", 2)), (("c", 4),),
                                   (("a", "c"),))
-
-
-def orbit_graph_as_bipartite(params):
-    graph = build_orbit_graph(params)
-    side1 = tuple(((1, v.i), v.weight) for v in graph.side1)
-    side2 = tuple(((2, v.i), v.weight) for v in graph.side2)
-    edges = tuple(((1, i), (2, t)) for i, t in sorted(graph.edges))
-    return WeightedBipartiteGraph(side1, side2, edges)
 
 
 class TestMaxFlow:
@@ -45,13 +38,22 @@ class TestMaxFlow:
 
     def test_cover_network_9_4_2(self):
         # the flow value behind the (9,4,2) vertex-cover computation
-        _, weight = min_weight_vertex_cover(orbit_graph_as_bipartite(
-            Params(9, 4, 2)))
+        _, weight = min_weight_vertex_cover(
+            build_orbit_graph(Params(9, 4, 2)).as_bipartite())
         assert weight == 80
+
+    def test_long_path_does_not_recurse(self):
+        # 1,500 nodes in series: deeper than Python's default recursion limit
+        nodes = tuple(range(1500))
+        arcs = tuple((v, v + 1, 1) for v in nodes[:-1])
+        value, cut = max_flow(FlowNetwork(nodes, arcs, 0, 1499))
+        assert value == 1 and cut == [(0, 1, 1)]
 
     def test_rejects_bad_networks(self):
         with pytest.raises(ValueError):
             FlowNetwork(("s",), (), "s", "t")
+        with pytest.raises(ValueError):
+            FlowNetwork(("s", "t"), (), "s", "s")
         with pytest.raises(ValueError):
             FlowNetwork(("s", "t"), (("s", "x", 1),), "s", "t")
         with pytest.raises(ValueError):
@@ -79,7 +81,7 @@ class TestVertexCover:
         assert min_weight_vertex_cover(g) == (frozenset(), 0)
 
     def test_orbit_graph_9_4_2_vs_exhaustive(self):
-        g = orbit_graph_as_bipartite(Params(9, 4, 2))
+        g = build_orbit_graph(Params(9, 4, 2)).as_bipartite()
         cover, weight = min_weight_vertex_cover(g)
         assert weight == 80
         labels = [v for v, _ in g.side1 + g.side2]
@@ -91,8 +93,17 @@ class TestVertexCover:
                    for edge in g.edges))
         assert weight == best
 
+    def test_bad_cut_raises_certificate_error(self, monkeypatch):
+        # a cover whose weight disagrees with the flow value must be
+        # caught by a raised check, not an assert that python -O strips
+        monkeypatch.setattr(bipartite, "_max_flow",
+                            lambda num_nodes, arcs, src, dst:
+                            (0, [True] * num_nodes))
+        with pytest.raises(FlowCertificateError):
+            min_weight_vertex_cover(graph_3_2_4())
+
     def test_deterministic(self):
-        g = orbit_graph_as_bipartite(Params(11, 5, 2))
+        g = build_orbit_graph(Params(11, 5, 2)).as_bipartite()
         assert min_weight_vertex_cover(g) == min_weight_vertex_cover(g)
 
 
@@ -103,12 +114,12 @@ class TestIndependentSet:
 
     def test_orbit_graph_7_3_2(self):
         _, weight = max_weight_independent_set(
-            orbit_graph_as_bipartite(Params(7, 3, 2)))
+            build_orbit_graph(Params(7, 3, 2)).as_bipartite())
         assert weight == 12
 
     def test_orbit_graph_9_4_2(self):
         _, weight = max_weight_independent_set(
-            orbit_graph_as_bipartite(Params(9, 4, 2)))
+            build_orbit_graph(Params(9, 4, 2)).as_bipartite())
         assert weight == 80
 
     def test_duality_and_exhaustive_on_random_graphs(self, rng):
@@ -153,7 +164,7 @@ class TestFractionalWeakDuality:
     def test_random_rational_betas_on_balanced_graph(self, rng):
         # on the (9,4,2) orbit graph every feasible labeling stays below
         # the optimal cover weight, because MWIS and the cover tie at 80
-        g = orbit_graph_as_bipartite(Params(9, 4, 2))
+        g = build_orbit_graph(Params(9, 4, 2)).as_bipartite()
         cover, weight = min_weight_vertex_cover(g)
         assert weight == 80
         labels = [v for v, _ in g.side1 + g.side2]

@@ -1,7 +1,7 @@
 import pytest
 
 from crossint import (EnumerationTooLarge, Family, KSet, Params,
-                      ParamsOutOfRange, WeightedBipartiteGraph, binom,
+                      ParamsOutOfRange, binom,
                       build_conflict_graph, build_extremal_family,
                       conflict_graph_mis, is_s_cross_intersecting,
                       max_sum_nonempty, max_sum_nonempty_unreduced,
@@ -15,12 +15,8 @@ def kset(*elements, n):
 
 
 def orbit_graph_mwis(params):
-    graph = build_orbit_graph(params)
-    side1 = tuple(((1, v.i), v.weight) for v in graph.side1)
-    side2 = tuple(((2, v.i), v.weight) for v in graph.side2)
-    edges = tuple(((1, i), (2, t)) for i, t in sorted(graph.edges))
     _, weight = max_weight_independent_set(
-        WeightedBipartiteGraph(side1, side2, edges))
+        build_orbit_graph(params).as_bipartite())
     return weight
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -168,8 +170,7 @@ class TestPathValidation:
         dec = build_chain_decomposition(params)
         (path,) = dec.paths
         swapped = (path[1], path[0], path[3], path[2])
-        tampered = dec.__class__(params, (swapped,), dec.edge_types,
-                                 dec.middles)
+        tampered = replace(dec, paths=(swapped,))
         assert not validate_decomposition(tampered, g).passed
 
     def test_valid_decomposition_passes(self):
