@@ -2,9 +2,12 @@
 
 All capacities and weights are exact Python integers; nothing here ever
 touches floating point.  The minimum-weight vertex cover of a weighted
-bipartite graph is computed by a source/sink flow construction whose
-minimum cut corresponds one-to-one with an integral cover, and the
-maximum-weight independent set is its complement.
+bipartite graph is computed by a source/sink flow construction (Dinic)
+whose minimum cut corresponds one-to-one with an integral cover, and the
+maximum-weight independent set is its complement.  Unit-weight graphs
+given as integer adjacency lists (the oracle's conflict graphs) skip the
+flow network: a Hopcroft-Karp maximum matching and the König cover read
+off it give the same cover the flow would.
 """
 
 from dataclasses import dataclass
@@ -191,6 +194,113 @@ def max_weight_independent_set(g: WeightedBipartiteGraph):
             raise FlowCertificateError(f"edge ({u!r}, {v!r}) inside the "
                                        f"independent set")
     return chosen, g.total_weight() - cover_weight
+
+
+def _hopcroft_karp(adj, num2):
+    """Maximum matching of a bipartite graph; side-1 vertex a is adjacent
+    to the side-2 indices ``adj[a]`` in 0..num2-1.
+
+    Each phase layers side 1 by BFS from the free side-1 vertices, then
+    augments along vertex-disjoint shortest paths by a DFS on an explicit
+    stack.  Returns ``mate1``, ``mate2`` (-1 when free) and the König
+    flags: which side-1 and side-2 vertices alternating paths from the
+    free side-1 vertices reach under the final matching.
+    """
+    num1 = len(adj)
+    mate1, mate2 = [-1] * num1, [-1] * num2
+    while True:
+        dist = [-1] * num1
+        queue = [a for a in range(num1) if mate1[a] < 0]
+        for a in queue:
+            dist[a] = 0
+        limit = -1  # layer of the shortest augmenting paths, once seen
+        for a in queue:  # the loop also visits vertices appended below
+            d = dist[a]
+            if d > limit >= 0:
+                break
+            for b in adj[a]:
+                c = mate2[b]
+                if c < 0:
+                    limit = d
+                elif dist[c] < 0:
+                    dist[c] = d + 1
+                    queue.append(c)
+        if limit < 0:
+            break
+        # ``stack`` holds the path's side-1 vertices, ``via[j]`` the
+        # side-2 vertex between stack[j] and stack[j+1], and ``it`` each
+        # vertex's first edge not yet tried; dead vertices get dist -1.
+        it = [0] * num1
+        for root in range(num1):
+            if dist[root] != 0:
+                continue
+            stack, via = [root], []
+            while stack:
+                a = stack[-1]
+                d, nbrs = dist[a], adj[a]
+                for i in range(it[a], len(nbrs)):
+                    b = nbrs[i]
+                    c = mate2[b]
+                    if c < 0 or d < limit and dist[c] == d + 1:
+                        break
+                else:
+                    dist[a] = -1
+                    stack.pop()
+                    if via:
+                        via.pop()
+                    continue
+                it[a] = i + 1
+                via.append(b)
+                if c >= 0:
+                    stack.append(c)
+                    continue
+                for x, y in zip(stack, via):
+                    mate1[x], mate2[y] = y, x
+                    dist[x] = -1
+                break
+    reached1 = [d >= 0 for d in dist]
+    reached2 = [False] * num2
+    for a, nbrs in enumerate(adj):
+        if reached1[a]:
+            for b in nbrs:
+                reached2[b] = True
+    return mate1, mate2, reached1, reached2
+
+
+def unit_weight_independent_set(adj, num2):
+    """A maximum independent set of a unit-weight bipartite graph given
+    as side-1 adjacency lists ``adj`` of side-2 indices 0..num2-1.
+
+    By König's theorem the cover (side-1 vertices not reached by
+    alternating paths from the free side-1 vertices, plus side-2 vertices
+    that are) has the size of a maximum matching.  Those reached vertices
+    are the residual-reachable side of the unit-capacity flow, so the
+    cover is the source-closest minimum cut that
+    ``min_weight_vertex_cover`` returns.  Raises FlowCertificateError
+    unless the matching is valid, the cover covers every edge and
+    |cover| = |matching|.  Returns (value, chosen side-1 indices, chosen
+    side-2 indices), indices ascending.
+    """
+    mate1, mate2, reached1, reached2 = _hopcroft_karp(adj, num2)
+    matched = 0
+    for a, b in enumerate(mate1):
+        if b >= 0:
+            if mate2[b] != a or b not in adj[a]:
+                raise FlowCertificateError(f"side-1 vertex {a} has mate {b}, "
+                                           f"not a matched edge")
+            matched += 1
+    if sum(a >= 0 for a in mate2) != matched:
+        raise FlowCertificateError("side-2 mates disagree with side 1")
+    for a, nbrs in enumerate(adj):
+        if reached1[a] and not all(map(reached2.__getitem__, nbrs)):
+            raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
+                                       f"left uncovered")
+    if reached1.count(False) + reached2.count(True) != matched:
+        raise FlowCertificateError(f"cover size differs from matching "
+                                   f"size {matched}")
+    chosen1 = [a for a, r in enumerate(reached1) if r]
+    chosen2 = [b for b, r in enumerate(reached2) if not r]
+    return len(adj) + num2 - matched, chosen1, chosen2
 
 
 def check_fractional_weak_duality(g: WeightedBipartiteGraph, beta, cover) -> bool:

@@ -7,19 +7,24 @@ maximum-independent-set computation per anchor intersection size, and
 simultaneous relabeling of the ground set makes a single canonical
 anchor pair per size sufficient.  A fully unreduced variant (every
 anchor pair) is kept for auditing the reduction itself.
+
+Conflict graphs have unit weights, so each MIS is solved on integer
+adjacency lists by Hopcroft-Karp matching and the König cover
+(``bipartite.unit_weight_independent_set``); the weighted Dinic core
+serves the weighted orbit graph only.
 """
 
 import time
 from dataclasses import dataclass
 
-from .bipartite import WeightedBipartiteGraph, max_weight_independent_set
+from .bipartite import unit_weight_independent_set
 from .errors import EnumerationTooLarge, FlowCertificateError, ParamsOutOfRange
 from .extremal import build_extremal_family, size_extremal_family
 from .report import Verdict
 from .sets import Family, Params, binom, enumerate_ksubsets
 
 #: Largest C(n, k) the oracle will enumerate by default; the resulting
-#: flow graphs have at most 2 * cap + 2 nodes.
+#: conflict graphs have at most 2 * cap vertices.
 DEFAULT_ORACLE_CAP = 3500
 
 
@@ -43,15 +48,18 @@ def build_conflict_graph(ground: Family, s: int,
     if len(ground) > cap:
         raise EnumerationTooLarge(
             f"ground family of {len(ground)} sets exceeds cap {cap}")
-    member = {m.mask: m for m in ground}
-    edges = tuple((member[x], member[y])
-                  for x, y in _conflict_pairs(member, member, s))
+    members = ground.members
+    masks = [m.mask for m in members]
+    edges = tuple((members[a], members[b])
+                  for a, nbrs in enumerate(_conflict_lists(masks, masks, s))
+                  for b in nbrs)
     return ConflictGraph(ground, s, edges)
 
 
-def _conflict_pairs(masks1, masks2, s: int):
-    """Mask pairs (x, y), x from masks1 and y from masks2, with |x ∩ y| < s."""
-    return ((x, y) for x in masks1 for y in masks2 if (x & y).bit_count() < s)
+def _conflict_lists(masks1, masks2, s: int):
+    """For each x in masks1, the indices b with |x ∩ masks2[b]| < s."""
+    return [[b for b, y in enumerate(masks2) if (x & y).bit_count() < s]
+            for x in masks1]
 
 
 def _mis_two_copies(masks1, masks2, s: int):
@@ -59,14 +67,10 @@ def _mis_two_copies(masks1, masks2, s: int):
 
     Returns (size, chosen side-1 masks, chosen side-2 masks).
     """
-    side1 = tuple(((1, m), 1) for m in masks1)
-    side2 = tuple(((2, m), 1) for m in masks2)
-    edges = tuple(((1, x), (2, y))
-                  for x, y in _conflict_pairs(masks1, masks2, s))
-    graph = WeightedBipartiteGraph(side1, side2, edges)
-    chosen, value = max_weight_independent_set(graph)
-    picked1 = sorted(m for side, m in chosen if side == 1)
-    picked2 = sorted(m for side, m in chosen if side == 2)
+    value, chosen1, chosen2 = unit_weight_independent_set(
+        _conflict_lists(masks1, masks2, s), len(masks2))
+    picked1 = sorted(masks1[a] for a in chosen1)
+    picked2 = sorted(masks2[b] for b in chosen2)
     if value != len(picked1) + len(picked2):
         raise FlowCertificateError("MIS value differs from the picked count")
     return value, picked1, picked2
@@ -115,12 +119,12 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
     all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
     base = params.base_set().mask
 
+    side_a = [x for x in all_masks if (x & base).bit_count() >= s]
     best = None
     for i in range(max(s, 2 * k - n), k + 1):
         anchor_a = _canonical_anchor(params, i)
         if (anchor_a & base).bit_count() != i:
             raise FlowCertificateError(f"anchor profile is not {i}")
-        side_a = [x for x in all_masks if (x & base).bit_count() >= s]
         side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
         value, picked_a, picked_b = _mis_two_copies(side_a, side_b, s)
         if anchor_a not in picked_a or base not in picked_b:
@@ -146,10 +150,10 @@ def max_sum_nonempty_unreduced(params: Params,
     all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
     best = -1
     for anchor_b in all_masks:
+        side_a = [x for x in all_masks if (x & anchor_b).bit_count() >= s]
         for anchor_a in all_masks:
             if (anchor_a & anchor_b).bit_count() < s:
                 continue
-            side_a = [x for x in all_masks if (x & anchor_b).bit_count() >= s]
             side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
             value, _, _ = _mis_two_copies(side_a, side_b, s)
             best = max(best, value)

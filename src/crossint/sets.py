@@ -96,7 +96,7 @@ class Family:
                 raise ValueError(f"member {m} has size {m.k}, expected {k}")
         self.n = n
         self.k = k
-        self.members = tuple(sorted(set(members)))
+        self.members = tuple(sorted(set(members), key=lambda m: m.elements))
         self._mask_set = frozenset(m.mask for m in self.members)
 
     @classmethod

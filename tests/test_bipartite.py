@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from crossint import (FlowCertificateError, FlowNetwork, NotACover,
                       NotAFractionalIndependentSet, Params,
                       WeightedBipartiteGraph, bipartite,
                       check_fractional_weak_duality, max_flow,
                       max_weight_independent_set, min_weight_vertex_cover)
+from crossint.bipartite import unit_weight_independent_set
 from crossint.orbitgraph import build_orbit_graph
 
 from conftest import exhaustive_mwis, random_bipartite
@@ -131,6 +138,88 @@ class TestIndependentSet:
             assert weight + cover_weight == g.total_weight()
             assert weight == exhaustive_mwis(side1, side2, edges)
             assert all(u not in chosen or v not in chosen for u, v in edges)
+
+
+@st.composite
+def unit_graphs(draw):
+    """(num1, num2, edges): sides of up to 9 vertices, possibly empty,
+    with any edge subset, so isolated vertices and edgeless graphs occur."""
+    num1 = draw(st.integers(0, 9))
+    num2 = draw(st.integers(0, 9))
+    pairs = [(a, b) for a in range(num1) for b in range(num2)]
+    return num1, num2, draw(st.sets(st.sampled_from(pairs))
+                            if pairs else st.just(set()))
+
+
+def dinic_reference(num1, num2, edges):
+    g = WeightedBipartiteGraph(tuple(((1, a), 1) for a in range(num1)),
+                               tuple(((2, b), 1) for b in range(num2)),
+                               tuple(((1, a), (2, b)) for a, b in sorted(edges)))
+    return max_weight_independent_set(g)
+
+
+def adjacency(num1, edges):
+    return [sorted(b for x, b in edges if x == a) for a in range(num1)]
+
+
+#: A matching or König cover that fails its certificate, for adj [[0], []]
+#: and one side-2 vertex.
+BAD_MATCHINGS = {
+    "mates disagree": ([0, -1], [-1], [False, True], [True]),
+    "mate not adjacent": ([-1, 0], [1], [True, False], [True]),
+    "edge left uncovered": ([-1, -1], [-1], [True, True], [False]),
+    "cover larger than matching": ([-1, -1], [-1], [False, True], [False]),
+}
+
+
+class TestUnitWeightIndependentSet:
+    @given(unit_graphs())
+    @example((3, 2, set()))
+    @example((4, 3, {(0, 0), (1, 0), (1, 1)}))
+    def test_matches_dinic_reference(self, graph):
+        num1, num2, edges = graph
+        value, chosen1, chosen2 = unit_weight_independent_set(
+            adjacency(num1, edges), num2)
+        chosen, weight = dinic_reference(num1, num2, edges)
+        assert value == weight == len(chosen1) + len(chosen2)
+        assert chosen == frozenset([(1, a) for a in chosen1]
+                                   + [(2, b) for b in chosen2])
+
+    def test_long_augmenting_path_does_not_recurse(self):
+        # a_i - b_i and a_i - b_(i+1), b_(i+1) listed first: the first
+        # phase leaves a_(n-1) free, and the one augmenting path left
+        # runs through all 1,500 vertices of each side
+        n = 1500
+        adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+        value, chosen1, chosen2 = unit_weight_independent_set(adj, n)
+        assert value == n
+        edges = {(a, b) for a, nbrs in enumerate(adj) for b in nbrs}
+        chosen, _ = dinic_reference(n, n, edges)
+        assert chosen == frozenset([(1, a) for a in chosen1]
+                                   + [(2, b) for b in chosen2])
+
+    @pytest.mark.parametrize("fake", sorted(BAD_MATCHINGS))
+    def test_bad_matching_or_cover_raises(self, monkeypatch, fake):
+        monkeypatch.setattr(bipartite, "_hopcroft_karp",
+                            lambda adj, num2: BAD_MATCHINGS[fake])
+        with pytest.raises(FlowCertificateError):
+            unit_weight_independent_set([[0], []], 1)
+
+    def test_bad_matching_raises_under_python_optimize(self):
+        # python -O strips assert statements; the certificate must survive
+        script = (
+            "from crossint import bipartite, FlowCertificateError\n"
+            "bipartite._hopcroft_karp = lambda adj, num2: "
+            f"{BAD_MATCHINGS['cover larger than matching']!r}\n"
+            "try:\n"
+            "    bipartite.unit_weight_independent_set([[0], []], 1)\n"
+            "except FlowCertificateError:\n"
+            "    print('raised')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bipartite.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"
 
 
 class TestFractionalWeakDuality:
