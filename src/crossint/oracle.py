@@ -65,12 +65,13 @@ def _conflict_lists(masks1, masks2, s: int):
 def _mis_two_copies(masks1, masks2, s: int):
     """Exact unit-weight MIS of the conflict graph between two mask lists.
 
-    Returns (size, chosen side-1 masks, chosen side-2 masks).
+    Returns (size, chosen side-1 masks, chosen side-2 masks), each in
+    the order of its input list.
     """
     value, chosen1, chosen2 = unit_weight_independent_set(
         _conflict_lists(masks1, masks2, s), len(masks2))
-    picked1 = sorted(masks1[a] for a in chosen1)
-    picked2 = sorted(masks2[b] for b in chosen2)
+    picked1 = [masks1[a] for a in chosen1]
+    picked2 = [masks2[b] for b in chosen2]
     if value != len(picked1) + len(picked2):
         raise FlowCertificateError("MIS value differs from the picked count")
     return value, picked1, picked2
@@ -148,14 +149,14 @@ def max_sum_nonempty_unreduced(params: Params,
     if binom(n, k) > cap:
         raise EnumerationTooLarge(f"C({n},{k}) exceeds cap {cap}")
     all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
+    # the sets compatible with an anchor form the opposite side
+    compatible = {x: [y for y in all_masks if (x & y).bit_count() >= s]
+                  for x in all_masks}
     best = -1
     for anchor_b in all_masks:
-        side_a = [x for x in all_masks if (x & anchor_b).bit_count() >= s]
-        for anchor_a in all_masks:
-            if (anchor_a & anchor_b).bit_count() < s:
-                continue
-            side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
-            value, _, _ = _mis_two_copies(side_a, side_b, s)
+        side_a = compatible[anchor_b]
+        for anchor_a in side_a:
+            value, _, _ = _mis_two_copies(side_a, compatible[anchor_a], s)
             best = max(best, value)
     return best
 

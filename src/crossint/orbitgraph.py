@@ -3,7 +3,13 @@
 Vertices are orbit profiles i in {s..k-1}, one copy per side, weighted
 by the orbit size.  Two profiles conflict (carry an edge) exactly when
 some pair of sets with those profiles intersects in fewer than s
-elements, which happens iff k-l <= i+t <= k+s-1.
+elements, which happens iff k-l <= i+t <= k+s-1.  So the side-2
+neighbours of profile i form the interval
+[max(s, k-l-i), min(k-1, k+s-1-i)], and the graph is stored as that
+interval per profile; the edge set is derived only when asked for.  Both
+ends are non-increasing in i, so the graph is a bipartite permutation
+graph, and its maximum-weight independent set can be read off a greedy
+flow (``bipartite.interval_independent_set``).
 
 Three families of edges are singled out: profile-mirroring edges
 (i, k+s-1-i) of type 1, equal-profile edges (i, i) of type 2 inside the
@@ -20,7 +26,7 @@ is exactly what validate_decomposition checks.
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bipartite import WeightedBipartiteGraph
+from .bipartite import WeightedBipartiteGraph, interval_independent_set
 from .errors import (DecompositionViolation, EnumerationTooLarge,
                      IndexNotMeaningful, ParamsOutOfRange, TypedEdgeNotInW)
 from .extremal import min_pair_intersection, orbit_weight
@@ -43,13 +49,27 @@ class OrbitGraph:
     params: Params
     side1: tuple  # OrbitVertex, ascending profile
     side2: tuple
-    edges: frozenset  # (i on side 1, t on side 2)
+    intervals: tuple  # (lo, hi): side-2 neighbours of each side-1 profile
 
     def profiles(self):
         return tuple(v.i for v in self.side1)
 
     def has_edge(self, i: int, t: int) -> bool:
-        return (i, t) in self.edges
+        j = i - self.params.s
+        if not 0 <= j < len(self.intervals):
+            return False
+        lo, hi = self.intervals[j]
+        return lo <= t <= hi
+
+    def _edge_list(self):
+        """Edges (i on side 1, t on side 2), ascending."""
+        return [(v.i, t) for v, (lo, hi) in zip(self.side1, self.intervals)
+                for t in range(lo, hi + 1)]
+
+    @property
+    def edges(self) -> frozenset:
+        """The edge set, derived from the intervals on each access."""
+        return frozenset(self._edge_list())
 
     def one_side_weight(self) -> int:
         return sum(v.weight for v in self.side1)
@@ -59,7 +79,19 @@ class OrbitGraph:
         return WeightedBipartiteGraph(
             tuple(((1, v.i), v.weight) for v in self.side1),
             tuple(((2, v.i), v.weight) for v in self.side2),
-            tuple(((1, i), (2, t)) for i, t in sorted(self.edges)))
+            tuple(((1, i), (2, t)) for i, t in self._edge_list()))
+
+    def max_weight_independent_set(self):
+        """(chosen, weight) as max_weight_independent_set(as_bipartite())
+        returns it, with chosen vertices labelled (side, profile), solved
+        on the intervals by the earliest-deadline greedy flow."""
+        s = self.params.s
+        weight, chosen1, chosen2 = interval_independent_set(
+            [v.weight for v in self.side1], [v.weight for v in self.side2],
+            [(lo - s, hi - s) for lo, hi in self.intervals])
+        chosen = frozenset([(1, a + s) for a in chosen1]
+                           + [(2, b + s) for b in chosen2])
+        return chosen, weight
 
 
 def _require_graph_params(params: Params):
@@ -75,15 +107,16 @@ def build_orbit_graph(params: Params) -> OrbitGraph:
     """The weighted conflict graph between orbit profiles of both sides."""
     _require_graph_params(params)
     k, s, l = params.k, params.s, params.l
-    profiles = range(s, k)
-    side1 = tuple(OrbitVertex(1, i, orbit_weight(i, params)) for i in profiles)
-    side2 = tuple(OrbitVertex(2, i, orbit_weight(i, params)) for i in profiles)
-    edges = frozenset((i, t) for i in profiles for t in profiles
-                      if k - l <= i + t <= k + s - 1)
-    for i in profiles:
-        if not any((i, t) in edges for t in profiles):
+    side1, side2, intervals = [], [], []
+    for i in range(s, k):
+        weight = orbit_weight(i, params)
+        lo, hi = max(s, k - l - i), min(k - 1, k + s - 1 - i)
+        if lo > hi:
             raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
-    return OrbitGraph(params, side1, side2, edges)
+        side1.append(OrbitVertex(1, i, weight))
+        side2.append(OrbitVertex(2, i, weight))
+        intervals.append((lo, hi))
+    return OrbitGraph(params, tuple(side1), tuple(side2), tuple(intervals))
 
 
 @dataclass(frozen=True)
@@ -94,8 +127,8 @@ class TypedEdge:
 
 
 def classify_edges(graph: OrbitGraph):
-    """Enumerate the three edge families, as (side-1 profile, side-2
-    profile) pairs, and report which graph edges stay untyped.
+    """The three edge families, as TypedEdges in ascending order of
+    their (side-1 profile, side-2 profile) pairs.
 
     Raises TypedEdgeNotInW if a typed edge is not a graph edge, and
     DecompositionViolation if two families share an edge; either would
@@ -103,7 +136,7 @@ def classify_edges(graph: OrbitGraph):
     """
     params = graph.params
     k, s, l = params.k, params.s, params.l
-    profiles = graph.profiles()
+    profiles = range(s, k)
 
     band_lo = -(-(k - l) // 2)  # ceil((k-l)/2)
     pairs = [((i, k + s - 1 - i), 1) for i in profiles]
@@ -122,16 +155,14 @@ def classify_edges(graph: OrbitGraph):
         raise DecompositionViolation(
             f"typed edge families overlap for params {params}")
 
-    vertex_of = {(v.side, v.i): v for v in graph.side1 + graph.side2}
     out = []
     for (i, t), ty in sorted(typed.items()):
-        if (i, t) not in graph.edges:
+        if not graph.has_edge(i, t):
             raise TypedEdgeNotInW(
                 f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
                 f"for params {params}")
-        out.append(TypedEdge(vertex_of[(1, i)], vertex_of[(2, t)], ty))
-    untyped = sorted(graph.edges - set(typed))
-    return out, untyped
+        out.append(TypedEdge(graph.side1[i - s], graph.side2[t - s], ty))
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,6 +179,7 @@ class ChainDecomposition:
     edge_types: tuple
     middles: tuple
     graph: OrbitGraph  # the graph the paths were taken from
+    typed: tuple       # classify_edges(graph)
 
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
@@ -159,7 +191,7 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
     pairwise disjoint and each vertex meets at most one of each kind).
     """
     graph = build_orbit_graph(params)
-    typed, _ = classify_edges(graph)
+    typed = tuple(classify_edges(graph))
 
     adj = {(v.side, v.i): [] for v in graph.side1 + graph.side2}
     for edge in typed:
@@ -217,7 +249,7 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
         middles.append(middle)
 
     return ChainDecomposition(params, tuple(paths), tuple(types),
-                              tuple(middles), graph)
+                              tuple(middles), graph, typed)
 
 
 def path_mwis(weights) -> int:
@@ -272,8 +304,28 @@ def _path_failures(path, edge_types, middle):
     return failures
 
 
+def _typed_edge_failures(typed, graph: OrbitGraph):
+    """Typed edges that are not edges between the graph's own vertices,
+    or whose type does not match their form: type 1 exactly on mirror
+    pairs i+t = k+s-1, type 2 on the other equal-profile pairs and
+    type 3 on the rest."""
+    s, mirror = graph.params.s, graph.params.k + graph.params.s - 1
+    failures = []
+    for e in typed:
+        i, t = e.left.i, e.right.i
+        if not (graph.has_edge(i, t) and e.left == graph.side1[i - s]
+                and e.right == graph.side2[t - s]):
+            failures.append(f"typed edge {e.left.name()}--{e.right.name()} "
+                            f"is not an edge of the graph")
+        elif e.edge_type != (1 if i + t == mirror else 2 if i == t else 3):
+            failures.append(f"typed edge {e.left.name()}--{e.right.name()} "
+                            f"does not have the form of type {e.edge_type}")
+    return failures
+
+
 def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdict:
-    """Check every structural and weight invariant of a decomposition.
+    """Check every structural and weight invariant of a decomposition
+    against ``graph``, with the typed edges the decomposition carries.
 
     Failures are reported in the Verdict, never raised: a failing path
     is a finding about the construction for those parameters (the
@@ -287,9 +339,11 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
     if sorted(claimed) != expected or len(set(claimed)) != len(claimed):
         failures.append("paths do not partition the vertex set")
 
-    typed, _ = classify_edges(graph)
+    if graph != dec.graph:
+        failures.append("decomposition was built for another graph")
+    failures.extend(_typed_edge_failures(dec.typed, graph))
     typed_lookup = {}
-    for e in typed:
+    for e in dec.typed:
         typed_lookup[((e.left.side, e.left.i), (e.right.side, e.right.i))] = e.edge_type
         typed_lookup[((e.right.side, e.right.i), (e.left.side, e.left.i))] = e.edge_type
 
@@ -383,7 +437,7 @@ def graph_to_dot(graph: OrbitGraph) -> str:
     lines = [f"graph orbit_graph_n{p.n}_k{p.k}_s{p.s} {{", "  rankdir=LR;"]
     for v in graph.side1 + graph.side2:
         lines.append(f'  "{v.name()}" [label="{v.name()} (w={v.weight})"];')
-    for i, t in sorted(graph.edges):
+    for i, t in graph._edge_list():
         lines.append(f'  "C_{i}^1" -- "C_{t}^2";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ from .orbitgraph import (build_chain_decomposition, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
 from .sets import Params, binom
-from .bipartite import max_weight_independent_set
 
 CHECK_NAMES = ("theorem", "lemma1", "lemma2", "chains", "edges", "biregular",
                "hm")
@@ -125,8 +124,7 @@ def _check_lemma1(params: Params, spec: SweepSpec):
                             "inapplicable: needs s >= 2 and slack l >= 0")]
     records = []
     start = time.perf_counter()
-    _, weight = max_weight_independent_set(
-        build_orbit_graph(params).as_bipartite())
+    _, weight = build_orbit_graph(params).max_weight_independent_set()
     want = size_extremal_family(params) - 1
     records.append(_timed(Verdict(
         claim="lemma1.orbit-certificate",

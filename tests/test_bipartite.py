@@ -14,10 +14,11 @@ from crossint import (FlowCertificateError, FlowNetwork, NotACover,
                       WeightedBipartiteGraph, bipartite,
                       check_fractional_weak_duality, max_flow,
                       max_weight_independent_set, min_weight_vertex_cover)
-from crossint.bipartite import unit_weight_independent_set
+from crossint.bipartite import (interval_independent_set,
+                                unit_weight_independent_set)
 from crossint.orbitgraph import build_orbit_graph
 
-from conftest import exhaustive_mwis, random_bipartite
+from conftest import exhaustive_mwis, random_bipartite, small_graph_params
 
 
 def graph_3_2_4():
@@ -213,6 +214,96 @@ class TestUnitWeightIndependentSet:
             f"{BAD_MATCHINGS['cover larger than matching']!r}\n"
             "try:\n"
             "    bipartite.unit_weight_independent_set([[0], []], 1)\n"
+            "except FlowCertificateError:\n"
+            "    print('raised')\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(bipartite.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "raised\n"
+
+
+@st.composite
+def interval_graphs(draw):
+    """(weights1, weights2, intervals): sides of 1 to 8 vertices, side-1
+    vertex a adjacent to the side-2 indices lo..hi of intervals[a].  Both
+    ends are non-increasing in a, as in the orbit graph, unless the draw
+    leaves them unsorted; lo > hi leaves a vertex isolated."""
+    num1 = draw(st.integers(1, 8))
+    num2 = draw(st.integers(1, 8))
+    weight = st.integers(1, 60)
+    weights1 = draw(st.lists(weight, min_size=num1, max_size=num1))
+    weights2 = draw(st.lists(weight, min_size=num2, max_size=num2))
+    ends = st.lists(st.integers(0, num2 - 1), min_size=num1, max_size=num1)
+    los, his = draw(ends), draw(ends)
+    if draw(st.booleans()):
+        los, his = sorted(los, reverse=True), sorted(his, reverse=True)
+    return weights1, weights2, list(zip(los, his))
+
+
+def interval_reference(weights1, weights2, intervals):
+    g = WeightedBipartiteGraph(
+        tuple(((1, a), w) for a, w in enumerate(weights1)),
+        tuple(((2, b), w) for b, w in enumerate(weights2)),
+        tuple(((1, a), (2, b)) for a, (lo, hi) in enumerate(intervals)
+              for b in range(lo, hi + 1)))
+    return max_weight_independent_set(g)
+
+
+#: Greedy results for weights1 [2], weights2 [3, 1] and the single
+#: interval (0, 0), each failing exactly one part of the certificate.
+BAD_GREEDY = {
+    "flow above a weight": ([(0, 0, 3)], [True], [True, False]),
+    "flow off the graph": ([(0, 0, 1), (0, 1, 1)], [False], [False, False]),
+    "edge left uncovered": ([(0, 0, 1)], [True], [False, True]),
+    "cover weight differs from flow": ([(0, 0, 1)], [False], [False, False]),
+}
+
+
+class TestIntervalIndependentSet:
+    def test_orbit_graphs_match_dinic(self):
+        for params in small_graph_params():
+            graph = build_orbit_graph(params)
+            assert graph.max_weight_independent_set() == \
+                max_weight_independent_set(graph.as_bipartite()), params
+
+    @given(interval_graphs())
+    @example(([5], [7], [(0, 0)]))
+    @example(([4], [9], [(0, -1)]))
+    @example(([3, 1, 4], [1, 5, 9, 2], [(0, 3)] * 3))
+    @example(([2, 7, 1], [8, 2, 8], [(2, 2), (1, 2), (0, 0)]))
+    def test_matches_dinic_reference(self, graph):
+        weights1, weights2, intervals = graph
+        value, chosen1, chosen2 = interval_independent_set(*graph)
+        chosen, weight = interval_reference(*graph)
+        assert value == weight
+        assert value == (sum(weights1[a] for a in chosen1)
+                         + sum(weights2[b] for b in chosen2))
+        assert chosen == frozenset([(1, a) for a in chosen1]
+                                   + [(2, b) for b in chosen2])
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            interval_independent_set([1], [1], [])
+        with pytest.raises(ValueError):
+            interval_independent_set([0], [1], [(0, 0)])
+        with pytest.raises(ValueError):
+            interval_independent_set([1], [1], [(0, 1)])
+
+    @pytest.mark.parametrize("fake", sorted(BAD_GREEDY))
+    def test_bad_greedy_raises(self, monkeypatch, fake):
+        monkeypatch.setattr(bipartite, "_earliest_deadline_flow",
+                            lambda w1, w2, intervals: BAD_GREEDY[fake])
+        with pytest.raises(FlowCertificateError):
+            interval_independent_set([2], [3, 1], [(0, 0)])
+
+    def test_bad_greedy_raises_under_python_optimize(self):
+        script = (
+            "from crossint import bipartite, FlowCertificateError\n"
+            "bipartite._earliest_deadline_flow = lambda w1, w2, intervals: "
+            f"{BAD_GREEDY['cover weight differs from flow']!r}\n"
+            "try:\n"
+            "    bipartite.interval_independent_set([2], [3, 1], [(0, 0)])\n"
             "except FlowCertificateError:\n"
             "    print('raised')\n")
         env = dict(os.environ,

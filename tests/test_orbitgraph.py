@@ -16,7 +16,7 @@ from conftest import small_graph_params
 
 
 def typed_pairs(graph, edge_type):
-    typed, _ = classify_edges(graph)
+    typed = classify_edges(graph)
     return sorted((e.left.i, e.right.i) for e in typed
                   if e.edge_type == edge_type)
 
@@ -62,14 +62,42 @@ class TestBuildOrbitGraph:
                 assert any(g.has_edge(t, i) for t in g.profiles())
 
 
+def band_scan(params):
+    """The edge set by the k x k scan of the rule k-l <= i+t <= k+s-1."""
+    k, s, l = params.k, params.s, params.l
+    return {(i, t) for i in range(s, k) for t in range(s, k)
+            if k - l <= i + t <= k + s - 1}
+
+
+class TestIntervalRepresentation:
+    def test_edges_equal_band_scan(self):
+        for params in small_graph_params():
+            assert build_orbit_graph(params).edges == band_scan(params), params
+
+    def test_has_edge_agrees_with_scan(self):
+        # profiles just outside {s..k-1} on either side are never adjacent
+        for params in small_graph_params():
+            g = build_orbit_graph(params)
+            edges = band_scan(params)
+            around = range(params.s - 2, params.k + 2)
+            for i in around:
+                for t in around:
+                    assert g.has_edge(i, t) == ((i, t) in edges), (params, i, t)
+
+    def test_interval_ends_non_increasing(self):
+        for params in small_graph_params():
+            los, his = zip(*build_orbit_graph(params).intervals)
+            assert list(los) == sorted(los, reverse=True), params
+            assert list(his) == sorted(his, reverse=True), params
+
+
 class TestClassifyEdges:
     def test_9_4_2(self):
         g = build_orbit_graph(Params(9, 4, 2))
-        typed, untyped = classify_edges(g)
         assert typed_pairs(g, 1) == [(2, 3), (3, 2)]
         assert typed_pairs(g, 2) == [(2, 2)]
         assert typed_pairs(g, 3) == []
-        assert untyped == []
+        assert g.edges == {(e.left.i, e.right.i) for e in classify_edges(g)}
 
     def test_7_3_2_fixed_point_mirror(self):
         g = build_orbit_graph(Params(7, 3, 2))
@@ -94,7 +122,7 @@ class TestClassifyEdges:
             a = (k - l) // 2
             if (k - l) % 2 == 0 or a < s:
                 continue
-            typed, _ = classify_edges(build_orbit_graph(params))
+            typed = classify_edges(build_orbit_graph(params))
             for side in (1, 2):
                 degree = sum((e.left.side, e.left.i) == (side, a)
                              or (e.right.side, e.right.i) == (side, a)
@@ -114,7 +142,7 @@ class TestClassifyEdges:
         # one mirror edge each, plus at most one equal-profile or offset edge
         for params in small_graph_params():
             g = build_orbit_graph(params)
-            typed, _ = classify_edges(g)
+            typed = classify_edges(g)
             degree = {}
             by_type = {}
             for e in typed:
@@ -204,6 +232,59 @@ class TestPathValidation:
         swapped = (path[1], path[0], path[3], path[2])
         tampered = replace(dec, paths=(swapped,))
         assert not validate_decomposition(tampered, g).passed
+
+    def test_carried_typed_edges_are_checked(self):
+        # validation reads the typed edges the decomposition carries, so
+        # relabelling them must fail the paths that use them
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        relabelled = tuple(replace(e, edge_type=3) for e in dec.typed)
+        tampered = replace(dec, typed=relabelled)
+        assert validate_decomposition(dec, build_orbit_graph(params)).passed
+        assert not validate_decomposition(tampered, tampered.graph).passed
+
+    def test_carried_non_edge_fails(self):
+        # (3, 3) is not an edge of (9, 4, 2); carry it as the type-2 edge
+        # and route the path through it
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        g = dec.graph
+        v2, v3 = g.side1
+        w2, w3 = g.side2
+        typed = tuple(replace(e, left=v3, right=w3) if e.edge_type == 2 else e
+                      for e in dec.typed)
+        tampered = replace(dec, paths=((v2, w3, v3, w2),), typed=typed,
+                           middles=((w3, v3, 2),))
+        verdict = validate_decomposition(tampered, g)
+        assert not verdict.passed
+        assert "typed edge C_3^1--C_3^2 is not an edge of the graph" in \
+            verdict.witness
+
+    def test_carried_type_must_match_its_form(self):
+        # swap the labels of the equal-profile and offset edges of
+        # (11, 6, 2) consistently in the typed edges and the path
+        params = Params(11, 6, 2)
+        dec = build_chain_decomposition(params)
+        swap = {1: 1, 2: 3, 3: 2}
+        tampered = replace(
+            dec,
+            typed=tuple(replace(e, edge_type=swap[e.edge_type])
+                        for e in dec.typed),
+            edge_types=tuple(tuple(swap[ty] for ty in types)
+                             for types in dec.edge_types),
+            middles=tuple((a, b, swap[ty]) for a, b, ty in dec.middles))
+        assert validate_decomposition(dec, dec.graph).passed
+        verdict = validate_decomposition(tampered, tampered.graph)
+        assert not verdict.passed
+        assert "typed edge C_3^1--C_3^2 does not have the form of type 3" \
+            in verdict.witness
+
+    def test_another_graph_fails(self):
+        # (10, 4, 2) has the profiles and edges of (9, 4, 2), not its weights
+        dec = build_chain_decomposition(Params(9, 4, 2))
+        verdict = validate_decomposition(dec, build_orbit_graph(Params(10, 4, 2)))
+        assert not verdict.passed
+        assert "decomposition was built for another graph" in verdict.witness
 
     def test_valid_decomposition_passes(self):
         params = Params(7, 3, 2)

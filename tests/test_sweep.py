@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from crossint import ConfigError, ReportBundle, SweepSpec, emit_report, run_sweep
+from crossint import (ConfigError, ReportBundle, SweepSpec, emit_report,
+                      orbitgraph, run_sweep, sweep)
 
 from conftest import break_chain_decompositions
 
@@ -160,3 +161,37 @@ class TestEmitReport:
         payload = json.loads(bundle.to_json())
         assert payload["records"] == []
         assert bundle.passed
+
+
+class TestBuildOnce:
+    """One orbit-graph build per triple and check, one classification per
+    chain triple: the sweep never rebuilds or reclassifies an instance."""
+
+    def count_calls(self, monkeypatch):
+        calls = {"build": [], "classify": []}
+        build, classify = orbitgraph.build_orbit_graph, orbitgraph.classify_edges
+
+        def counted_build(params):
+            calls["build"].append((params.n, params.k, params.s))
+            return build(params)
+
+        def counted_classify(graph):
+            p = graph.params
+            calls["classify"].append((p.n, p.k, p.s))
+            return classify(graph)
+
+        for module in (sweep, orbitgraph):
+            monkeypatch.setattr(module, "build_orbit_graph", counted_build)
+        monkeypatch.setattr(orbitgraph, "classify_edges", counted_classify)
+        return calls
+
+    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 0)])
+    def test_one_build_per_triple(self, monkeypatch, check, classified):
+        calls = self.count_calls(monkeypatch)
+        spec = SweepSpec(ks=tuple(range(3, 9)), ss=(2, 3, 4), ls=(0, 1, 2, 3),
+                         checks=(check,), cap=1)
+        triples = spec.instances()
+        bundle = run_sweep(spec)
+        assert bundle.passed
+        assert sorted(calls["build"]) == triples
+        assert sorted(calls["classify"]) == triples * classified
