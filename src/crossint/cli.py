@@ -91,15 +91,15 @@ def _run_sweep_command(args) -> int:
     spec = _spec_from_args(args)
     bundle = run_sweep(spec)
     text = emit_report(bundle, fmt=args.format, path=args.out)
+    summary = bundle.summary
     if args.out:
-        summary = bundle.summary
         print(f"{summary['pass']} pass, {summary['fail']} fail, "
               f"{summary['skip']} skipped -> {args.out}")
     else:
         sys.stdout.write(text)
-    if bundle.summary["fail"]:
+    if summary["fail"]:
         return 1
-    if args.strict and bundle.summary["skip"]:
+    if args.strict and summary["skip"]:
         return 2
     return 0
 

@@ -4,6 +4,26 @@ The extremal family for (n, k, s) consists of all k-subsets of [n]
 meeting the base set {1,...,k} in at least s elements.  Its orbits under
 permutations fixing {1,...,k} setwise are indexed by the intersection
 profile i, with exact weight C(k,i) * C(n-k,k-i).
+
+Mirror law (lemma2).  For 2 <= s < k, slack l >= 0 and s <= i <= k-1,
+w(i) >= w(k+s-1-i) exactly when 2i <= k+s-1.  Write j = k+s-1-i.
+
+1. At l = 0, n-k = k-s+1, so C(n-k, k-i) = C(k-s+1, i-s+1) = C(n-k, k-j)
+   and the second factors cancel: w(i)/w(j) = C(k,i)/C(k,i-s+1).
+   C(k,x) depends only on |x - k/2|, falling as that grows, and for
+   b < a, |a - k/2| <= |b - k/2| exactly when a + b <= k.  As s >= 2,
+   b = i-s+1 < i = a, so the ratio is >= 1 exactly when 2i <= k+s-1,
+   and > 1 exactly when 2i < k+s-1.
+2. For s <= i < j <= k, w(i)/w(j) strictly increases with n: with
+   m = n-k, C(m,k-i)/C(m,k-j) is the product over t in [k-j, k-i) of
+   (m-t)/(t+1), each factor positive (m >= k-s+1 >= k-i) and strictly
+   increasing in m.
+
+So below the midpoint w(i)/w(j) > 1 at l = 0 and grows with l; above
+it w(j)/w(i) does the same; at the midpoint i = j.  At s = 1 step 1
+fails: i-s+1 = i, every mirror pair ties at l = 0, and the law as
+stated does not hold there.  Tests pin each step in cross-multiplied
+integers.
 """
 
 from dataclasses import dataclass, field

@@ -62,7 +62,7 @@ class LemmaReport:
             "oracle_value": None,
             "detail": (f"{len(self.instances)} instances checked"
                        + (f", {len(failed)} failed: {failed[:3]}" if failed else "")),
-            "witness": self.instances,
+            "witness": failed or None,
             "millis": None,
         })
         return rec
@@ -110,15 +110,20 @@ class ReportBundle:
         return self.summary["fail"] == 0
 
     def to_json(self) -> str:
-        payload = {
-            "tool": self.tool,
-            "version": self.version,
-            "spec": self.spec,
-            "summary": self.summary,
-            "records": self.records,
-            "runtime_millis": self.runtime_millis,
-        }
-        return json.dumps(payload, indent=2, default=str) + "\n"
+        """One JSON object, one record per line.
+
+        The first line holds tool, version, spec and summary and opens
+        ``"records": [``; the last closes it with ``runtime_millis``.  No
+        ``indent`` is passed, so the stdlib's C encoder renders everything.
+        """
+        encode = json.JSONEncoder(default=str).encode
+        header = encode({"tool": self.tool, "version": self.version,
+                         "spec": self.spec, "summary": self.summary})
+        lines = [header[:-1] + ', "records": [']
+        if self.records:
+            lines.append(",\n".join(map(encode, self.records)))
+        lines.append(f'], "runtime_millis": {encode(self.runtime_millis)}}}')
+        return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

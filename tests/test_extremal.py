@@ -1,8 +1,10 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from crossint import (IndexNotMeaningful, Params, ParamsOutOfRange, binom,
+from crossint import (IndexNotMeaningful, LemmaReport, Params,
+                      ParamsOutOfRange, binom,
                       build_extremal_family, check_mirror_weight_ordering,
                       check_offset_weight_ordering, extremal_pair,
                       is_s_cross_intersecting, min_pair_intersection,
@@ -135,6 +137,69 @@ class TestMirrorWeightOrdering:
 
     def test_11_6_2(self):
         assert check_mirror_weight_ordering(Params(11, 6, 2)).passed
+
+
+class TestMirrorLawProof:
+    """Each step of the mirror law's proof, in exact integers: ratios are
+    compared by cross-multiplying, never divided."""
+
+    def test_zero_slack_ratio_is_a_binomial_ratio(self):
+        # At l = 0 the C(n-k, .) factors cancel:
+        # w(i) / w(k+s-1-i) = C(k, i) / C(k, i-s+1).
+        for k in range(3, 40):
+            for s in range(2, k):
+                params = Params(2 * k - s + 1, k, s)
+                for i in range(s, k):
+                    j = k + s - 1 - i
+                    assert orbit_weight(i, params) * comb(k, i - s + 1) == \
+                        orbit_weight(j, params) * comb(k, i)
+
+    def test_zero_slack_ratio_against_the_midpoint(self):
+        # C(k, i) / C(k, i-s+1) is >= 1 exactly when 2i <= k+s-1, and
+        # > 1 exactly when 2i < k+s-1.
+        for k in range(3, 40):
+            for s in range(2, k):
+                for i in range(s, k):
+                    top, bottom = comb(k, i), comb(k, i - s + 1)
+                    assert (top >= bottom) == (2 * i <= k + s - 1)
+                    assert (top > bottom) == (2 * i < k + s - 1)
+
+    def test_ratio_strictly_increases_with_n(self):
+        # For s <= i < j <= k, w_n(i) / w_n(j) < w_{n+1}(i) / w_{n+1}(j).
+        for k in range(3, 30):
+            for s in range(2, k):
+                for l in range(0, 20):
+                    now = Params(2 * k - s + 1 + l, k, s)
+                    nxt = Params(now.n + 1, k, s)
+                    w_now = [orbit_weight(i, now) for i in range(s, k + 1)]
+                    w_nxt = [orbit_weight(i, nxt) for i in range(s, k + 1)]
+                    for a in range(len(w_now)):
+                        for b in range(a + 1, len(w_now)):
+                            assert w_now[a] * w_nxt[b] < w_nxt[a] * w_now[b]
+
+
+class TestLemmaReportRecord:
+    def test_passing_report_carries_no_witness(self):
+        report = check_mirror_weight_ordering(Params(9, 4, 2))
+        rec = report.to_record()
+        assert rec["status"] == "pass"
+        assert rec["witness"] is None
+        assert rec["detail"] == "2 instances checked"
+        assert [inst["i"] for inst in report.instances] == [2, 3]
+
+    @pytest.mark.parametrize("failing", [(3,), (3, 5)])
+    def test_witness_is_the_failing_instances(self, failing):
+        instances = [{"i": i, "ok": i not in failing} for i in range(2, 7)]
+        bad = [inst for inst in instances if not inst["ok"]]
+        report = LemmaReport(claim="weights.mirror-ordering",
+                             params=Params(13, 6, 2), instances=instances,
+                             passed=False)
+        rec = report.to_record("lemma2")
+        assert (rec["check"], rec["status"]) == ("lemma2", "fail")
+        assert rec["witness"] == bad
+        assert rec["detail"] == \
+            f"5 instances checked, {len(bad)} failed: {bad}"
+        assert report.instances == instances
 
 
 class TestOffsetWeightOrdering:

@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from crossint import (ConfigError, ReportBundle, SweepSpec, emit_report,
-                      orbitgraph, run_sweep, sweep)
+from crossint import (ConfigError, LemmaReport, Params, ReportBundle,
+                      SweepSpec, emit_report, orbitgraph, run_sweep, sweep)
+from crossint.cli import main
 
 from conftest import break_chain_decompositions
 
@@ -161,6 +162,57 @@ class TestEmitReport:
         payload = json.loads(bundle.to_json())
         assert payload["records"] == []
         assert bundle.passed
+
+    def mixed_bundle(self):
+        """Theorem and biregular (dict witnesses), passing lemma2 and
+        chains (no witness), hm skips, and one failing lemma2 record
+        (a list witness)."""
+        spec = SweepSpec(ks=(4,), ss=(2,), ls=(0, 1),
+                         checks=("theorem", "biregular", "lemma2", "chains",
+                                 "hm"))
+        bundle = run_sweep(spec)
+        failing = LemmaReport(claim="weights.mirror-ordering",
+                              params=Params(7, 4, 2),
+                              instances=[{"i": 2, "ok": False}], passed=False)
+        bundle.records.append(failing.to_record("lemma2"))
+        kinds = {(rec["check"], rec["status"], type(rec["witness"]).__name__)
+                 for rec in bundle.records}
+        assert kinds >= {("theorem", "pass", "dict"),
+                         ("biregular", "pass", "dict"),
+                         ("lemma2", "pass", "NoneType"),
+                         ("lemma2", "fail", "list"),
+                         ("chains", "pass", "NoneType"),
+                         ("hm", "skip", "NoneType")}
+        return bundle
+
+    def test_records_parse_back(self):
+        # Tuples in a witness come back as lists, as they always did.
+        bundle = self.mixed_bundle()
+        payload = json.loads(bundle.to_json())
+        assert payload["records"] == json.loads(
+            json.dumps(bundle.records, indent=2, default=str))
+        assert payload["summary"] == bundle.summary
+        assert list(payload) == ["tool", "version", "spec", "summary",
+                                 "records", "runtime_millis"]
+
+    def test_one_record_per_line(self):
+        bundle = self.mixed_bundle()
+        lines = bundle.to_json().splitlines()
+        assert len(lines) == len(bundle.records) + 2
+        assert lines[0].endswith('"records": [')
+        assert lines[-1].startswith('], "runtime_millis": ')
+        records = json.loads(json.dumps(bundle.records, default=str))
+        for line, rec in zip(lines[1:-1], records):
+            assert json.loads(line.removesuffix(",")) == rec
+
+    def test_stdout_report_equals_file_report(self, tmp_path, capsys):
+        argv = ["check-lemmas", "--k", "4", "--s", "2", "--l", "0"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)["records"]
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        written = json.loads(out.read_text())["records"]
+        assert printed and strip_timings(printed) == strip_timings(written)
 
 
 class TestBuildOnce:
