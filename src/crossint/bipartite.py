@@ -7,12 +7,12 @@ whose minimum cut corresponds one-to-one with an integral cover, and the
 maximum-weight independent set is its complement.  Dinic is the generic
 solver (``max_weight_independent_set``) and the reference the others
 are tested against.  Two special shapes skip the flow network:
-unit-weight graphs given as integer adjacency lists (the oracle's
-conflict graphs) are solved by a Hopcroft-Karp maximum matching and the
-König cover read off it, and weighted graphs whose side-1
-neighbourhoods are intervals of side 2 (the sweep's lemma1 orbit
-graphs) by an earliest-deadline greedy flow and its residual cut.  Both
-give the same cover the flow would.
+unit-weight graphs given as bitset rows, one int per side-1 vertex (the
+oracle's dense conflict graphs), are solved by a bit-parallel
+Hopcroft-Karp maximum matching and the König cover read off it, and
+weighted graphs whose side-1 neighbourhoods are intervals of side 2 (the
+sweep's lemma1 orbit graphs) by an earliest-deadline greedy flow and its
+residual cut.  Both give the same cover the flow would.
 """
 
 from dataclasses import dataclass
@@ -202,80 +202,91 @@ def max_weight_independent_set(g: WeightedBipartiteGraph):
     return chosen, g.total_weight() - cover_weight
 
 
-def _hopcroft_karp(adj, num2):
+def _hopcroft_karp(rows, num2):
     """Maximum matching of a bipartite graph; side-1 vertex a is adjacent
-    to the side-2 indices ``adj[a]`` in 0..num2-1.
+    to the side-2 indices b in 0..num2-1 whose bit is set in ``rows[a]``.
 
     Each phase layers side 1 by BFS from the free side-1 vertices, then
     augments along vertex-disjoint shortest paths by a DFS on an explicit
-    stack.  Returns ``mate1``, ``mate2`` (-1 when free) and the König
-    flags: which side-1 and side-2 vertices alternating paths from the
-    free side-1 vertices reach under the final matching.
+    stack.  The BFS takes each side-2 vertex out of an ``unseen`` bitset
+    the first time it meets it.  ``layer[j]`` holds the side-2 vertices
+    whose mate sits on BFS layer j; a bit is cleared when its mate dies or
+    the vertex is re-matched, so the DFS step from depth d is the lowest
+    bit of ``rows[a] & layer[d + 1]`` (of ``rows[a] & free2`` on the last
+    layer) and no per-edge iterator is needed.  Returns ``mate1``,
+    ``mate2`` (-1 when free) and the König sets: the flags of the side-1
+    vertices that alternating paths from the free side-1 vertices reach
+    under the final matching, and the bitset of the side-2 vertices they
+    reach.
     """
-    num1 = len(adj)
+    num1 = len(rows)
     mate1, mate2 = [-1] * num1, [-1] * num2
+    full2 = free2 = (1 << num2) - 1
     while True:
         dist = [-1] * num1
         queue = [a for a in range(num1) if mate1[a] < 0]
         for a in queue:
             dist[a] = 0
+        layer = [0] * (num1 + 1)
+        unseen = full2
         limit = -1  # layer of the shortest augmenting paths, once seen
         for a in queue:  # the loop also visits vertices appended below
             d = dist[a]
             if d > limit >= 0:
                 break
-            for b in adj[a]:
-                c = mate2[b]
-                if c < 0:
-                    limit = d
-                elif dist[c] < 0:
-                    dist[c] = d + 1
-                    queue.append(c)
+            nb = rows[a] & unseen
+            unseen ^= nb
+            if nb & free2:
+                limit = d
+                nb ^= nb & free2
+            layer[d + 1] |= nb
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                c = mate2[low.bit_length() - 1]
+                dist[c] = d + 1
+                queue.append(c)
         if limit < 0:
             break
-        # ``stack`` holds the path's side-1 vertices, ``via[j]`` the
-        # side-2 vertex between stack[j] and stack[j+1], and ``it`` each
-        # vertex's first edge not yet tried; dead vertices get dist -1.
-        it = [0] * num1
+        # ``stack`` holds the path's side-1 vertices, stack[j] on layer j,
+        # and ``via[j]`` the side-2 vertex between stack[j] and stack[j+1];
+        # dead vertices get dist -1.
         for root in range(num1):
             if dist[root] != 0:
                 continue
             stack, via = [root], []
             while stack:
                 a = stack[-1]
-                d, nbrs = dist[a], adj[a]
-                for i in range(it[a], len(nbrs)):
-                    b = nbrs[i]
-                    c = mate2[b]
-                    if c < 0 or d < limit and dist[c] == d + 1:
-                        break
-                else:
+                d = len(stack) - 1
+                nb = rows[a] & (free2 if d == limit else layer[d + 1])
+                if not nb:
                     dist[a] = -1
                     stack.pop()
                     if via:
-                        via.pop()
+                        layer[d] ^= 1 << via.pop()
                     continue
-                it[a] = i + 1
+                b = (nb & -nb).bit_length() - 1
                 via.append(b)
-                if c >= 0:
-                    stack.append(c)
+                if d < limit:
+                    stack.append(mate2[b])
                     continue
-                for x, y in zip(stack, via):
+                # via[j] leaves layer j+1, its old mate's; the last is free
+                for j, (x, y) in enumerate(zip(stack, via)):
                     mate1[x], mate2[y] = y, x
                     dist[x] = -1
+                    if j < limit:
+                        layer[j + 1] ^= 1 << y
+                free2 ^= 1 << b
                 break
-    reached1 = [d >= 0 for d in dist]
-    reached2 = [False] * num2
-    for a, nbrs in enumerate(adj):
-        if reached1[a]:
-            for b in nbrs:
-                reached2[b] = True
-    return mate1, mate2, reached1, reached2
+    # The last BFS ran to the end, so the side-2 vertices it met are the
+    # union of the reached rows.
+    return mate1, mate2, [d >= 0 for d in dist], full2 ^ unseen
 
 
-def unit_weight_independent_set(adj, num2):
+def unit_weight_independent_set(rows, num2):
     """A maximum independent set of a unit-weight bipartite graph given
-    as side-1 adjacency lists ``adj`` of side-2 indices 0..num2-1.
+    as one bitset row per side-1 vertex: bit b of ``rows[a]`` is set iff
+    a is adjacent to side-2 vertex b in 0..num2-1.
 
     By König's theorem the cover (side-1 vertices not reached by
     alternating paths from the free side-1 vertices, plus side-2 vertices
@@ -283,30 +294,33 @@ def unit_weight_independent_set(adj, num2):
     are the residual-reachable side of the unit-capacity flow, so the
     cover is the source-closest minimum cut that
     ``min_weight_vertex_cover`` returns.  Raises FlowCertificateError
-    unless the matching is valid, the cover covers every edge and
-    |cover| = |matching|.  Returns (value, chosen side-1 indices, chosen
-    side-2 indices), indices ascending.
+    unless each matched pair is a row bit with agreeing mates, the cover
+    covers every edge and |cover| = |matching|.  Returns (value, chosen
+    side-1 indices, chosen side-2 indices), indices ascending.
     """
-    mate1, mate2, reached1, reached2 = _hopcroft_karp(adj, num2)
+    mate1, mate2, reached1, reached2 = _hopcroft_karp(rows, num2)
     matched = 0
     for a, b in enumerate(mate1):
         if b >= 0:
-            if mate2[b] != a or b not in adj[a]:
+            if not rows[a] >> b & 1:
                 raise FlowCertificateError(f"side-1 vertex {a} has mate {b}, "
-                                           f"not a matched edge")
+                                           f"not a bit of its row")
+            if mate2[b] != a:
+                raise FlowCertificateError(f"side-2 vertex {b} is not mated "
+                                           f"back to side-1 vertex {a}")
             matched += 1
     if sum(a >= 0 for a in mate2) != matched:
         raise FlowCertificateError("side-2 mates disagree with side 1")
-    for a, nbrs in enumerate(adj):
-        if reached1[a] and not all(map(reached2.__getitem__, nbrs)):
+    for a, row in enumerate(rows):
+        if reached1[a] and row & ~reached2:
             raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
                                        f"left uncovered")
-    if reached1.count(False) + reached2.count(True) != matched:
+    if reached1.count(False) + reached2.bit_count() != matched:
         raise FlowCertificateError(f"cover size differs from matching "
                                    f"size {matched}")
     chosen1 = [a for a, r in enumerate(reached1) if r]
-    chosen2 = [b for b, r in enumerate(reached2) if not r]
-    return len(adj) + num2 - matched, chosen1, chosen2
+    chosen2 = [b for b in range(num2) if not reached2 >> b & 1]
+    return len(rows) + num2 - matched, chosen1, chosen2
 
 
 def _earliest_deadline_flow(weights1, weights2, intervals):

@@ -8,8 +8,10 @@ simultaneous relabeling of the ground set makes a single canonical
 anchor pair per size sufficient.  A fully unreduced variant (every
 anchor pair) is kept for auditing the reduction itself.
 
-Conflict graphs have unit weights, so each MIS is solved on integer
-adjacency lists by Hopcroft-Karp matching and the König cover
+Conflict graphs have unit weights and are dense, so each is stored as
+one bitset row per side-1 set, built by a bit-sliced intersection
+counter (``_conflict_rows``), and its MIS is solved on those rows by a
+bit-parallel Hopcroft-Karp matching and the König cover
 (``bipartite.unit_weight_independent_set``); the weighted Dinic core
 serves the weighted orbit graph only.
 """
@@ -51,25 +53,53 @@ def build_conflict_graph(ground: Family, s: int,
     members = ground.members
     masks = [m.mask for m in members]
     edges = tuple((members[a], members[b])
-                  for a, nbrs in enumerate(_conflict_lists(masks, masks, s))
-                  for b in nbrs)
+                  for a, row in enumerate(_conflict_rows(masks, masks, s))
+                  for b in range(len(members)) if row >> b & 1)
     return ConflictGraph(ground, s, edges)
 
 
-def _conflict_lists(masks1, masks2, s: int):
-    """For each x in masks1, the indices b with |x ∩ masks2[b]| < s."""
-    return [[b for b, y in enumerate(masks2) if (x & y).bit_count() < s]
-            for x in masks1]
+def _conflict_rows(masks1, masks2, s: int):
+    """For each x in masks1, the bitset of the indices b with
+    |x ∩ masks2[b]| < s.
+
+    Bit b of ``col[e]`` is set iff element e lies in masks2[b] (the key
+    is the mask 1 << e).  For each x a bit-sliced counter runs over the
+    elements of x: bit b of ``hits[j]`` is set once masks2[b] has met at
+    least j of them, so the row is the complement of ``hits[s]``.  That
+    is k * s big-int operations per row instead of one popcount per pair.
+    """
+    full = (1 << len(masks2)) - 1
+    ground = 0
+    for y in masks2:
+        ground |= y
+    backwards = masks2[::-1]
+    col = {1 << e: int("".join(["01"[y >> e & 1] for y in backwards]), 2)
+           for e in range(ground.bit_length()) if ground >> e & 1}
+    rows = []
+    for x in masks1:
+        hits = [full] + [0] * s
+        top = 0
+        x &= ground
+        while x:
+            low = x & -x
+            x ^= low
+            column = col[low]
+            if top < s:
+                top += 1
+            for j in range(top, 0, -1):
+                hits[j] |= hits[j - 1] & column
+        rows.append(full ^ hits[s])
+    return rows
 
 
-def _mis_two_copies(masks1, masks2, s: int):
-    """Exact unit-weight MIS of the conflict graph between two mask lists.
+def _mis_two_copies(masks1, masks2, rows):
+    """Exact unit-weight MIS of the conflict graph between two mask lists,
+    given as the ``_conflict_rows`` of masks1 against masks2.
 
     Returns (size, chosen side-1 masks, chosen side-2 masks), each in
     the order of its input list.
     """
-    value, chosen1, chosen2 = unit_weight_independent_set(
-        _conflict_lists(masks1, masks2, s), len(masks2))
+    value, chosen1, chosen2 = unit_weight_independent_set(rows, len(masks2))
     picked1 = [masks1[a] for a in chosen1]
     picked2 = [masks2[b] for b in chosen2]
     if value != len(picked1) + len(picked2):
@@ -87,7 +117,8 @@ def conflict_graph_mis(params: Params, cap: int = DEFAULT_ORACLE_CAP) -> int:
             f"C({params.n},{params.k}) exceeds cap {cap}")
     base = params.base_set().mask
     ground = [m.mask for m in build_extremal_family(params) if m.mask != base]
-    value, _, _ = _mis_two_copies(ground, ground, params.s)
+    value, _, _ = _mis_two_copies(ground, ground,
+                                  _conflict_rows(ground, ground, params.s))
     return value
 
 
@@ -127,7 +158,8 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
         if (anchor_a & base).bit_count() != i:
             raise FlowCertificateError(f"anchor profile is not {i}")
         side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
-        value, picked_a, picked_b = _mis_two_copies(side_a, side_b, s)
+        value, picked_a, picked_b = _mis_two_copies(
+            side_a, side_b, _conflict_rows(side_a, side_b, s))
         if anchor_a not in picked_a or base not in picked_b:
             raise FlowCertificateError(f"MIS dropped an anchor at size {i}")
         if best is None or value > best[0]:
@@ -144,19 +176,25 @@ def max_sum_nonempty_unreduced(params: Params,
     """Audit oracle: maximize over every compatible anchor pair instead
     of one canonical anchor per intersection size.  Quadratic in C(n, k);
     intended for tiny parameters only.
+
+    The sets compatible with an anchor form the opposite side.  Every
+    set's row against each anchor's compatible list is built once; an
+    anchor pair then picks the rows of its side_a.
     """
     n, k, s = params.n, params.k, params.s
     if binom(n, k) > cap:
         raise EnumerationTooLarge(f"C({n},{k}) exceeds cap {cap}")
     all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
-    # the sets compatible with an anchor form the opposite side
-    compatible = {x: [y for y in all_masks if (x & y).bit_count() >= s]
-                  for x in all_masks}
+    compatible = [[i for i, y in enumerate(all_masks)
+                   if (x & y).bit_count() >= s] for x in all_masks]
+    sides = [[all_masks[i] for i in side] for side in compatible]
+    rows_against = [_conflict_rows(all_masks, side, s) for side in sides]
     best = -1
-    for anchor_b in all_masks:
-        side_a = compatible[anchor_b]
+    for anchor_b, side_a in enumerate(compatible):
         for anchor_a in side_a:
-            value, _, _ = _mis_two_copies(side_a, compatible[anchor_a], s)
+            rows = [rows_against[anchor_a][i] for i in side_a]
+            value, _, _ = _mis_two_copies(sides[anchor_b], sides[anchor_a],
+                                          rows)
             best = max(best, value)
     return best
 

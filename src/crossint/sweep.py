@@ -14,7 +14,7 @@ from . import __version__
 from .errors import ConfigError, EnumerationTooLarge
 from .extremal import (check_mirror_weight_ordering, check_offset_weight_ordering,
                        min_pair_intersection, size_extremal_family)
-from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis, max_sum_nonempty,
+from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis,
                      max_sum_nonempty_unreduced, verify_theorem)
 from .orbitgraph import (build_chain_decomposition, build_orbit_graph,
                          check_biregularity, validate_decomposition)
@@ -103,7 +103,7 @@ def _check_theorem(params: Params, spec: SweepSpec):
                             f"skipped: cap (C(n,k) > {spec.cap})")]
     records = [verify_theorem(params, cap=spec.cap).to_record("theorem")]
     if spec.deep_audit and binom(params.n, params.k) <= DEEP_AUDIT_CAP:
-        reduced, _ = max_sum_nonempty(params, cap=spec.cap)
+        reduced = records[0]["oracle_value"]
         start_audit = time.perf_counter()
         unreduced = max_sum_nonempty_unreduced(params, cap=spec.cap)
         records.append(_timed(Verdict(
@@ -150,8 +150,11 @@ def _check_lemma1(params: Params, spec: SweepSpec):
 
 
 def _check_lemma2(params: Params, spec: SweepSpec):
-    if params.l < 0:
-        return [skip_record(params, "lemma2", "inapplicable: slack l < 0")]
+    # the mirror law is proved for s >= 2 only: at s = 1, l = 0 every
+    # mirror pair ties
+    if params.s < 2 or params.l < 0:
+        return [skip_record(params, "lemma2",
+                            "inapplicable: needs s >= 2 and slack l >= 0")]
     records = []
     for check in (check_mirror_weight_ordering, check_offset_weight_ordering):
         start = time.perf_counter()

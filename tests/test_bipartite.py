@@ -159,17 +159,22 @@ def dinic_reference(num1, num2, edges):
     return max_weight_independent_set(g)
 
 
-def adjacency(num1, edges):
-    return [sorted(b for x, b in edges if x == a) for a in range(num1)]
+def bitset_rows(num1, edges):
+    return [sum(1 << b for x, b in edges if x == a) for a in range(num1)]
 
 
-#: A matching or König cover that fails its certificate, for adj [[0], []]
-#: and one side-2 vertex.
+#: A matching or König cover that fails exactly one part of its
+#: certificate, for rows [1, 0] (one edge, a0-b0) and one side-2 vertex,
+#: with the message that part raises.
 BAD_MATCHINGS = {
-    "mates disagree": ([0, -1], [-1], [False, True], [True]),
-    "mate not adjacent": ([-1, 0], [1], [True, False], [True]),
-    "edge left uncovered": ([-1, -1], [-1], [True, True], [False]),
-    "cover larger than matching": ([-1, -1], [-1], [False, True], [False]),
+    "mates disagree": (([0, -1], [-1], [False, True], 0),
+                       "not mated back"),
+    "mate not adjacent": (([-1, 0], [1], [False, True], 0),
+                          "not a bit of its row"),
+    "edge left uncovered": (([-1, -1], [-1], [True, True], 0),
+                            "left uncovered"),
+    "cover larger than matching": (([-1, -1], [-1], [False, True], 0),
+                                   "cover size differs"),
 }
 
 
@@ -177,43 +182,47 @@ class TestUnitWeightIndependentSet:
     @given(unit_graphs())
     @example((3, 2, set()))
     @example((4, 3, {(0, 0), (1, 0), (1, 1)}))
+    @example((3, 4, {(a, b) for a in range(3) for b in range(4)}))
     def test_matches_dinic_reference(self, graph):
         num1, num2, edges = graph
         value, chosen1, chosen2 = unit_weight_independent_set(
-            adjacency(num1, edges), num2)
+            bitset_rows(num1, edges), num2)
         chosen, weight = dinic_reference(num1, num2, edges)
         assert value == weight == len(chosen1) + len(chosen2)
         assert chosen == frozenset([(1, a) for a in chosen1]
                                    + [(2, b) for b in chosen2])
 
     def test_long_augmenting_path_does_not_recurse(self):
-        # a_i - b_i and a_i - b_(i+1), b_(i+1) listed first: the first
-        # phase leaves a_(n-1) free, and the one augmenting path left
-        # runs through all 1,500 vertices of each side
+        # a_i - b_i and a_i - b_(i+1), with b_j at bit n-1-j so that the
+        # lowest bit of row i is b_(i+1): the first phase leaves a_(n-1)
+        # free, and the one augmenting path left runs through all 1,500
+        # vertices of each side
         n = 1500
-        adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
-        value, chosen1, chosen2 = unit_weight_independent_set(adj, n)
+        rows = [3 << (n - 2 - i) for i in range(n - 1)] + [1]
+        value, chosen1, chosen2 = unit_weight_independent_set(rows, n)
         assert value == n
-        edges = {(a, b) for a, nbrs in enumerate(adj) for b in nbrs}
+        edges = {(a, b) for a, row in enumerate(rows) for b in range(n)
+                 if row >> b & 1}
         chosen, _ = dinic_reference(n, n, edges)
         assert chosen == frozenset([(1, a) for a in chosen1]
                                    + [(2, b) for b in chosen2])
 
     @pytest.mark.parametrize("fake", sorted(BAD_MATCHINGS))
     def test_bad_matching_or_cover_raises(self, monkeypatch, fake):
+        result, message = BAD_MATCHINGS[fake]
         monkeypatch.setattr(bipartite, "_hopcroft_karp",
-                            lambda adj, num2: BAD_MATCHINGS[fake])
-        with pytest.raises(FlowCertificateError):
-            unit_weight_independent_set([[0], []], 1)
+                            lambda rows, num2: result)
+        with pytest.raises(FlowCertificateError, match=message):
+            unit_weight_independent_set([1, 0], 1)
 
     def test_bad_matching_raises_under_python_optimize(self):
         # python -O strips assert statements; the certificate must survive
         script = (
             "from crossint import bipartite, FlowCertificateError\n"
-            "bipartite._hopcroft_karp = lambda adj, num2: "
-            f"{BAD_MATCHINGS['cover larger than matching']!r}\n"
+            "bipartite._hopcroft_karp = lambda rows, num2: "
+            f"{BAD_MATCHINGS['cover larger than matching'][0]!r}\n"
             "try:\n"
-            "    bipartite.unit_weight_independent_set([[0], []], 1)\n"
+            "    bipartite.unit_weight_independent_set([1, 0], 1)\n"
             "except FlowCertificateError:\n"
             "    print('raised')\n")
         env = dict(os.environ,

@@ -29,6 +29,17 @@ class TestSweepCommands:
         assert main(["check-lemmas", "--k", "5", "--s", "2",
                      "--l-range", "0:2", "--cap", "500"]) == 0
 
+    def test_check_lemmas_mirror_law_skipped_at_s1(self, capsys):
+        # the mirror law needs s >= 2; at s = 1, l = 0 its pairs tie
+        argv = ["check-lemmas", "--k", "4", "--s", "1", "--l", "0",
+                "--checks", "lemma2"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(rec["check"], rec["status"], rec["detail"])
+                for rec in records] == [
+            ("lemma2", "skip", "inapplicable: needs s >= 2 and slack l >= 0")]
+        assert main(argv + ["--strict"]) == 2
+
     def test_check_edges_pass(self, capsys):
         assert main(["check-edges", "--k", "4", "--s-range", "2:3",
                      "--l", "1"]) == 0

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from crossint import (EnumerationTooLarge, Family, KSet, Params,
-                      ParamsOutOfRange, binom,
+from crossint import (EnumerationTooLarge, Family, FlowCertificateError, KSet,
+                      Params, ParamsOutOfRange, binom,
                       build_conflict_graph, build_extremal_family,
                       conflict_graph_mis, is_s_cross_intersecting,
                       max_sum_nonempty, max_sum_nonempty_unreduced,
                       max_weight_independent_set, size_extremal_family,
                       verify_theorem)
+from crossint import oracle
+from crossint.oracle import _conflict_rows
 from crossint.orbitgraph import build_orbit_graph
 
 
@@ -55,6 +59,35 @@ class TestConflictGraph:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_conflict_graph(Family([], n=5, k=2), 1)
+
+
+@st.composite
+def two_sides(draw):
+    """(masks1, masks2, s): k-subsets of {1..n} as masks (bit e for
+    element e), n <= 12, either side possibly empty, s from 1 to k+1."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    kset_mask = st.sets(st.integers(1, n), min_size=k, max_size=k).map(
+        lambda elems: sum(1 << e for e in elems))
+    side = st.lists(kset_mask, max_size=12)
+    return draw(side), draw(side), draw(st.integers(1, k + 1))
+
+
+def pair_scan(masks1, masks2, s):
+    return [sum(1 << b for b, y in enumerate(masks2) if (x & y).bit_count() < s)
+            for x in masks1]
+
+
+class TestConflictRows:
+    @given(two_sides())
+    @example(([], [0b110], 1))
+    @example(([0b110], [], 1))
+    # complete: with s = k + 1 every pair conflicts
+    @example(([0b0110, 0b1010, 0b1100], [0b0110, 0b1010, 0b1100], 3))
+    # edgeless: 3-sets holding {1, 2} pairwise meet in >= 2 elements
+    @example(([0b1110, 0b10110], [0b100110, 0b1110], 2))
+    def test_matches_pair_scan(self, sides):
+        assert _conflict_rows(*sides) == pair_scan(*sides)
 
 
 class TestConflictGraphMis:
@@ -113,6 +146,20 @@ class TestMaxSumNonempty:
     def test_cap(self):
         with pytest.raises(EnumerationTooLarge):
             max_sum_nonempty(Params(9, 4, 2), cap=50)
+
+    def test_dropped_anchor_raises(self, monkeypatch):
+        # a solver that keeps neither anchor must be caught by a raised
+        # check, not an assert that python -O strips
+        monkeypatch.setattr(oracle, "unit_weight_independent_set",
+                            lambda rows, num2: (0, [], []))
+        with pytest.raises(FlowCertificateError, match="dropped an anchor"):
+            max_sum_nonempty(Params(7, 3, 2))
+
+    def test_value_off_the_picked_count_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "unit_weight_independent_set",
+                            lambda rows, num2: (1, [], []))
+        with pytest.raises(FlowCertificateError, match="picked count"):
+            conflict_graph_mis(Params(7, 3, 2))
 
 
 class TestReductionAudit:
