@@ -20,11 +20,10 @@ from .sets import (DEFAULT_ENUMERATION_CAP, Family, KSet, Params, binom,
                    enumerate_ksubsets, family_from_text, family_to_text,
                    intersection_size, is_s_cross_intersecting)
 from .shifting import is_shifted, shift_closure, shift_family, shift_set
-from .extremal import (OrbitWeightTable, build_extremal_family,
-                       check_mirror_weight_ordering,
+from .extremal import (build_extremal_family, check_mirror_weight_ordering,
                        check_offset_weight_ordering, extremal_pair,
                        min_pair_intersection, orbit_weight,
-                       orbit_weight_table, size_extremal_family)
+                       size_extremal_family)
 from .bipartite import (FlowNetwork, WeightedBipartiteGraph,
                         check_fractional_weak_duality, max_flow,
                         max_weight_independent_set, min_weight_vertex_cover)

@@ -26,8 +26,6 @@ stated does not hold there.  Tests pin each step in cross-multiplied
 integers.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import IndexNotMeaningful
 from .sets import DEFAULT_ENUMERATION_CAP, Family, Params, binom, enumerate_ksubsets
 
@@ -54,23 +52,6 @@ def orbit_weight(i: int, params: Params) -> int:
             f"profile {i} outside {{{params.s},...,{params.k}}}")
     n, k = params.n, params.k
     return binom(k, i) * binom(n - k, k - i)
-
-
-@dataclass
-class OrbitWeightTable:
-    """Orbit weights for profiles s..k (profile k counts the base set only)."""
-
-    params: Params
-    weights: dict = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.weights.values())
-
-
-def orbit_weight_table(params: Params) -> OrbitWeightTable:
-    weights = {i: orbit_weight(i, params)
-               for i in range(params.s, params.k + 1)}
-    return OrbitWeightTable(params, weights)
 
 
 def min_pair_intersection(i: int, t: int, params: Params) -> int:

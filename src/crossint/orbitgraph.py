@@ -18,9 +18,11 @@ taken in both orientations while both profiles stay in {s..k-1}:
 (floor((k-l)/2)-d, floor((k+s-1)/2)+d) for d >= 1 when k-l is even, and
 (a-d, ceil((k+s-1)/2)+d) for d >= 0 when k-l is odd, where profile
 a = floor((k-l)/2) has no equal-profile edge (2a < k-l) and would
-otherwise keep only its mirror edge.  The typed subgraph decomposes
-into even paths; whether every path carries an equal-weight middle edge
-is exactly what validate_decomposition checks.
+otherwise keep only its mirror edge.  Each vertex then has one mirror
+edge and at most one other typed edge, so the typed subgraph is a union
+of even paths that alternate the two kinds, read off the edges from
+their side-1 ends; whether every path carries an equal-weight middle
+edge is exactly what validate_decomposition checks.
 """
 
 from dataclasses import dataclass
@@ -183,73 +185,65 @@ class ChainDecomposition:
 
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
-    """Connected components of the typed subgraph, linearized as paths.
+    """The typed subgraph as paths, read straight off its typed edges.
 
-    Paths end at vertices of typed degree 1.  Raises
-    DecompositionViolation if the typed subgraph is not a disjoint union
-    of simple paths (never observed; the typed edge families are
-    pairwise disjoint and each vertex meets at most one of each kind).
+    Every vertex has exactly one mirror edge (type 1) and at most one
+    equal-profile or offset edge (type 2 or 3).  So each path starts at
+    a side-1 profile with no type-2/3 edge, takes its mirror edge, then
+    alternates the side-2 vertex's type-2/3 edge with a mirror edge, and
+    stops at the first vertex with no type-2/3 edge.  Paths are ordered
+    by their least (side, profile).  Raises DecompositionViolation if a
+    vertex has two typed edges of one kind or no mirror edge, or lies on
+    no path (the typed edges close a cycle); none has been observed.
     """
     graph = build_orbit_graph(params)
     typed = tuple(classify_edges(graph))
 
-    adj = {(v.side, v.i): [] for v in graph.side1 + graph.side2}
-    for edge in typed:
-        a = (edge.left.side, edge.left.i)
-        b = (edge.right.side, edge.right.i)
-        adj[a].append((b, edge.edge_type))
-        adj[b].append((a, edge.edge_type))
-
-    for v, nbrs in adj.items():
-        if len(nbrs) > 2:
+    # profile -> (other end, type), per side: mirror edges and the rest
+    mirror1, mirror2, other1, other2 = {}, {}, {}, {}
+    for e in typed:
+        at_left, at_right = ((mirror1, mirror2) if e.edge_type == 1
+                             else (other1, other2))
+        for ends, v, w in ((at_left, e.left, e.right),
+                           (at_right, e.right, e.left)):
+            if v.i in ends:
+                raise DecompositionViolation(
+                    f"vertex {v.name()} has two typed edges of one kind",
+                    offending=v)
+            ends[v.i] = (w, e.edge_type)
+    for v in graph.side1 + graph.side2:
+        if v.i not in (mirror1 if v.side == 1 else mirror2):
             raise DecompositionViolation(
-                f"vertex {v} has typed degree {len(nbrs)}", offending=v)
+                f"vertex {v.name()} has no mirror edge", offending=v)
 
-    vertex_of = {(v.side, v.i): v for v in graph.side1 + graph.side2}
-    seen = set()
-    paths, types, middles = [], [], []
-    for start in sorted(adj):
-        if start in seen:
+    chains = []
+    for v in graph.side1:
+        if v.i in other1:
             continue
-        component = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for y, _ in adj[x]:
-                if y not in component:
-                    component.add(y)
-                    frontier.append(y)
-        seen |= component
-        ends = sorted(v for v in component if len(adj[v]) <= 1)
-        edge_count = sum(len(adj[v]) for v in component) // 2
-        if len(ends) != 2 or edge_count != len(component) - 1:
-            raise DecompositionViolation(
-                f"component {sorted(component)} is not a simple path",
-                offending=sorted(component))
-
-        walk = [ends[0]]
-        walk_types = []
-        prev = None
+        path, types = [v], []
         while True:
-            step = [(y, ty) for y, ty in adj[walk[-1]] if y != prev]
-            if not step:
+            w, _ = mirror1[v.i]
+            path.append(w)
+            types.append(1)
+            if w.i not in other2:
                 break
-            prev = walk[-1]
-            walk.append(step[0][0])
-            walk_types.append(step[0][1])
-        if len(walk) != len(component):
-            raise DecompositionViolation(
-                "walk does not cover its component", offending=walk)
-
-        path = tuple(vertex_of[v] for v in walk)
+            v, ty = other2[w.i]
+            path.append(v)
+            types.append(ty)
         half = len(path) // 2
-        middle = (path[half - 1], path[half], walk_types[half - 1])
-        paths.append(path)
-        types.append(tuple(walk_types))
-        middles.append(middle)
+        middle = (path[half - 1], path[half], types[half - 1])
+        chains.append((min(u.i for u in path[0::2]), tuple(path),
+                       tuple(types), middle))
+    if sum(len(chain[1]) for chain in chains) != 2 * len(graph.side1):
+        on_path = {u for chain in chains for u in chain[1]}
+        left_out = [u for u in graph.side1 + graph.side2 if u not in on_path]
+        raise DecompositionViolation(
+            f"vertices {[u.name() for u in left_out]} lie on no path",
+            offending=left_out)
 
-    return ChainDecomposition(params, tuple(paths), tuple(types),
-                              tuple(middles), graph, typed)
+    chains.sort(key=lambda chain: chain[0])
+    _, paths, edge_types, middles = zip(*chains)
+    return ChainDecomposition(params, paths, edge_types, middles, graph, typed)
 
 
 def path_mwis(weights) -> int:
@@ -263,8 +257,9 @@ def path_mwis(weights) -> int:
     return max(take, skip)
 
 
-def _path_failures(path, edge_types, middle):
-    """Weight-profile checks for one path; returns failure strings."""
+def _path_failures(path, edge_types, middle, best):
+    """Weight-profile checks for one path whose MWIS is ``best``;
+    returns failure strings."""
     failures = []
     weights = [v.weight for v in path]
     if len(path) % 2 != 0:
@@ -289,7 +284,6 @@ def _path_failures(path, edge_types, middle):
         failures.append(f"weights not monotone toward the middle: {weights}")
 
     total = sum(weights)
-    best = path_mwis(weights)
     if 2 * best != total:
         failures.append(f"path MWIS {best} != half of total {total}")
 
@@ -342,24 +336,35 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
     if graph != dec.graph:
         failures.append("decomposition was built for another graph")
     failures.extend(_typed_edge_failures(dec.typed, graph))
-    typed_lookup = {}
-    for e in dec.typed:
-        typed_lookup[((e.left.side, e.left.i), (e.right.side, e.right.i))] = e.edge_type
-        typed_lookup[((e.right.side, e.right.i), (e.left.side, e.left.i))] = e.edge_type
+    typed_lookup = {(e.left.i, e.right.i): e.edge_type for e in dec.typed}
 
-    for path, edge_types, middle in zip(dec.paths, dec.edge_types, dec.middles):
+    aligned = len(dec.paths) == len(dec.edge_types) == len(dec.middles)
+    if not aligned:
+        failures.append(f"{len(dec.paths)} paths, {len(dec.edge_types)} edge "
+                        f"type rows and {len(dec.middles)} middles do not "
+                        f"line up")
+    mwis_total = 0
+    for p, path in enumerate(dec.paths):
+        best = path_mwis([v.weight for v in path]) if path else 0
+        mwis_total += best
+        if not aligned:
+            continue
+        edge_types = dec.edge_types[p]
+        if len(edge_types) != len(path) - 1:
+            failures.append(f"path {p} has {len(path)} vertices and "
+                            f"{len(edge_types)} edge types")
+            continue
         for v in path:
             if v.weight != orbit_weight(v.i, params):
                 failures.append(f"{v.name()} carries weight {v.weight}, "
                                 f"expected {orbit_weight(v.i, params)}")
         for (a, b), ty in zip(zip(path, path[1:]), edge_types):
-            key = ((a.side, a.i), (b.side, b.i))
-            if typed_lookup.get(key) != ty:
+            key = (a.i, b.i) if a.side == 1 else (b.i, a.i)
+            if a.side == b.side or typed_lookup.get(key) != ty:
                 failures.append(f"{a.name()}--{b.name()} is not a typed edge "
                                 f"of type {ty}")
-        failures.extend(_path_failures(path, edge_types, middle))
+        failures.extend(_path_failures(path, edge_types, dec.middles[p], best))
 
-    mwis_total = sum(path_mwis([v.weight for v in path]) for path in dec.paths)
     side_weight = graph.one_side_weight()
     if mwis_total != side_weight:
         failures.append(f"sum of path MWIS values {mwis_total} != one side's "

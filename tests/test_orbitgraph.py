@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossint import (EnumerationTooLarge, IndexNotMeaningful, OrbitVertex,
-                      Params, ParamsOutOfRange, build_chain_decomposition,
+import crossint.orbitgraph as orbitgraph
+from crossint import (DecompositionViolation, EnumerationTooLarge,
+                      IndexNotMeaningful, OrbitVertex, Params,
+                      ParamsOutOfRange, TypedEdge, build_chain_decomposition,
                       build_orbit_graph, check_biregularity, classify_edges,
                       decomposition_to_dot, graph_to_dot,
                       min_pair_intersection, path_mwis, size_extremal_family,
@@ -193,6 +195,70 @@ class TestChainDecomposition:
                 sides = [v.side for v in path]
                 assert all(a != b for a, b in zip(sides, sides[1:]))
 
+    def test_paths_are_typed_components(self):
+        # each path is a connected component of the typed edges, listed
+        # from its side-1 end; paths ordered by least (side, profile)
+        for params in small_graph_params():
+            dec = build_chain_decomposition(params)
+            adj = {}
+            for e in dec.typed:
+                adj.setdefault(e.left, []).append(e.right)
+                adj.setdefault(e.right, []).append(e.left)
+            components, seen = [], set()
+            for v in sorted(adj, key=lambda u: (u.side, u.i)):
+                if v in seen:
+                    continue
+                component, frontier = {v}, [v]
+                while frontier:
+                    for w in adj[frontier.pop()]:
+                        if w not in component:
+                            component.add(w)
+                            frontier.append(w)
+                seen |= component
+                (end,) = [u for u in component
+                          if u.side == 1 and len(adj[u]) == 1]
+                walk = [end]
+                while len(walk) < len(component):
+                    walk.append(next(w for w in adj[walk[-1]]
+                                     if w not in walk))
+                components.append(tuple(walk))
+            assert dec.paths == tuple(components), params
+
+    def test_second_offset_edge_raises(self, monkeypatch):
+        # C_2^1 of (11, 6, 2) already has the offset edge C_2^1--C_4^2
+        real = orbitgraph.classify_edges
+
+        def doubled(graph):
+            return real(graph) + [TypedEdge(graph.side1[0], graph.side2[1], 3)]
+
+        monkeypatch.setattr(orbitgraph, "classify_edges", doubled)
+        with pytest.raises(DecompositionViolation, match="two typed edges"):
+            build_chain_decomposition(Params(11, 6, 2))
+
+    def test_typed_cycle_raises(self, monkeypatch):
+        # C_3^1--C_3^2 closes the (9, 4, 2) path into a four-cycle
+        real = orbitgraph.classify_edges
+
+        def closed(graph):
+            return real(graph) + [TypedEdge(graph.side1[1], graph.side2[1], 3)]
+
+        monkeypatch.setattr(orbitgraph, "classify_edges", closed)
+        with pytest.raises(DecompositionViolation, match="on no path") as err:
+            build_chain_decomposition(Params(9, 4, 2))
+        assert len(err.value.offending) == 4
+
+    def test_missing_mirror_edge_raises(self, monkeypatch):
+        real = orbitgraph.classify_edges
+
+        def unmirrored(graph):
+            return [e for e in real(graph)
+                    if (e.left.i, e.edge_type) != (2, 1)]
+
+        monkeypatch.setattr(orbitgraph, "classify_edges", unmirrored)
+        with pytest.raises(DecompositionViolation,
+                           match="C_2\\^1 has no mirror edge"):
+            build_chain_decomposition(Params(9, 4, 2))
+
     def test_validation_characterization(self):
         # the typed-edge construction balances every path, including the
         # triples with k-l odd and floor((k-l)/2) a meaningful profile,
@@ -220,7 +286,8 @@ class TestPathValidation:
     def test_reversed_weights_fail_monotonicity(self):
         path = (OrbitVertex(1, 3, 60), OrbitVertex(2, 2, 20),
                 OrbitVertex(1, 2, 20), OrbitVertex(2, 3, 60))
-        failures = _path_failures(path, (1, 2, 1), (path[1], path[2], 2))
+        best = path_mwis([v.weight for v in path])
+        failures = _path_failures(path, (1, 2, 1), (path[1], path[2], 2), best)
         assert any("monotone" in f for f in failures)
         assert any("MWIS" in f for f in failures)
 
@@ -285,6 +352,51 @@ class TestPathValidation:
         verdict = validate_decomposition(dec, build_orbit_graph(Params(10, 4, 2)))
         assert not verdict.passed
         assert "decomposition was built for another graph" in verdict.witness
+
+    def test_missing_edge_types_fail(self):
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        verdict = validate_decomposition(replace(dec, edge_types=()), dec.graph)
+        assert not verdict.passed
+        assert "1 paths, 0 edge type rows and 1 middles do not line up" in \
+            verdict.witness
+
+    def test_missing_middles_with_reordered_path_fail(self):
+        # C_3^1, C_2^1, C_2^2, C_3^2 puts two side-1 vertices in a row
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        v2, v3 = dec.graph.side1
+        w2, w3 = dec.graph.side2
+        tampered = replace(dec, paths=((v3, v2, w2, w3),), middles=())
+        verdict = validate_decomposition(tampered, dec.graph)
+        assert not verdict.passed
+        assert "1 paths, 1 edge type rows and 0 middles do not line up" in \
+            verdict.witness
+
+    def test_same_side_step_fails(self):
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        v2, v3 = dec.graph.side1
+        w2, w3 = dec.graph.side2
+        tampered = replace(dec, paths=((v3, v2, w2, w3),))
+        verdict = validate_decomposition(tampered, dec.graph)
+        assert not verdict.passed
+        assert "C_3^1--C_2^1 is not a typed edge of type 1" in verdict.witness
+
+    def test_extra_empty_path_fails(self):
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        alone = replace(dec, paths=dec.paths + ((),))
+        verdict = validate_decomposition(alone, dec.graph)
+        assert not verdict.passed
+        assert "2 paths, 1 edge type rows and 1 middles do not line up" in \
+            verdict.witness
+        lined_up = replace(dec, paths=dec.paths + ((),),
+                           edge_types=dec.edge_types + ((),),
+                           middles=dec.middles + (dec.middles[0],))
+        verdict = validate_decomposition(lined_up, dec.graph)
+        assert not verdict.passed
+        assert "path 1 has 0 vertices and 0 edge types" in verdict.witness
 
     def test_valid_decomposition_passes(self):
         params = Params(7, 3, 2)
