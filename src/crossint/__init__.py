@@ -18,7 +18,8 @@ from .errors import (BadIndices, ConfigError, CrossIntError,
                      ShiftSizeChanged, TypedEdgeNotInW)
 from .sets import (DEFAULT_ENUMERATION_CAP, Family, KSet, Params, binom,
                    enumerate_ksubsets, family_from_text, family_to_text,
-                   intersection_size, is_s_cross_intersecting)
+                   intersection_size, is_s_cross_intersecting,
+                   ksubset_masks)
 from .shifting import is_shifted, shift_closure, shift_family, shift_set
 from .extremal import (build_extremal_family, check_mirror_weight_ordering,
                        check_offset_weight_ordering, extremal_pair,

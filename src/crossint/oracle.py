@@ -8,6 +8,14 @@ simultaneous relabeling of the ground set makes a single canonical
 anchor pair per size sufficient.  A fully unreduced variant (every
 anchor pair) is kept for auditing the reduction itself.
 
+The relabeling for anchor size i is sigma_i, the involution of [n] that
+swaps i+j with k+j for j = 1..k-i.  It maps the base B0 = {1..k} to the
+anchor A0 = {1..i} | {k+1..2k-i} and preserves every |x ∩ y|, so the
+sets s-meeting A0 are the images of the sets s-meeting B0, and the row
+of x against those images is the row of sigma_i(x) against side A.  One
+row table, for the images of side A under every sigma_i, therefore
+serves all anchor sizes of an instance.
+
 Conflict graphs have unit weights and are dense, so each is stored as
 one bitset row per side-1 set, built by a bit-sliced intersection
 counter (``_conflict_rows``), and its MIS is solved on those rows by a
@@ -21,9 +29,9 @@ from dataclasses import dataclass
 
 from .bipartite import unit_weight_independent_set
 from .errors import EnumerationTooLarge, FlowCertificateError, ParamsOutOfRange
-from .extremal import build_extremal_family, size_extremal_family
+from .extremal import size_extremal_family
 from .report import Verdict
-from .sets import Family, Params, binom, enumerate_ksubsets
+from .sets import Family, Params, binom, ksubset_masks
 
 #: Largest C(n, k) the oracle will enumerate by default; the resulting
 #: conflict graphs have at most 2 * cap vertices.
@@ -116,7 +124,8 @@ def conflict_graph_mis(params: Params, cap: int = DEFAULT_ORACLE_CAP) -> int:
         raise EnumerationTooLarge(
             f"C({params.n},{params.k}) exceeds cap {cap}")
     base = params.base_set().mask
-    ground = [m.mask for m in build_extremal_family(params) if m.mask != base]
+    ground = [x for x in ksubset_masks(params.n, params.k)
+              if x != base and (x & base).bit_count() >= params.s]
     value, _, _ = _mis_two_copies(ground, ground,
                                   _conflict_rows(ground, ground, params.s))
     return value
@@ -133,6 +142,16 @@ def _canonical_anchor(params: Params, i: int) -> int:
     return mask
 
 
+def _swap_blocks(masks, k: int, i: int) -> list:
+    """The images of ``masks`` under sigma_i, which swaps element i+j
+    with k+j for j = 1..k-i: the block of bits i+1..k moves up by k-i,
+    the block k+1..2k-i moves down by as much, the rest stays."""
+    d = k - i
+    low = ((1 << d) - 1) << (i + 1)
+    keep = ~(low | low << d)
+    return [(x & keep) | ((x & low) << d) | ((x >> d) & low) for x in masks]
+
+
 def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
     """Exact maximum of |A| + |B| over nonempty s-cross-intersecting
     pairs, with a realizing pair.
@@ -144,23 +163,38 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
     which leaves both anchors isolated, so every maximum independent set
     of the remaining conflict graph contains them: both families are
     nonempty by construction rather than by post-filtering.
+
+    Side A (the sets s-meeting B0) is fixed.  Side B for size i is
+    listed as sigma_i(side A), whose members are exactly the sets
+    s-meeting A0 = sigma_i(B0); since |x ∩ sigma_i(z)| = |sigma_i(x) ∩ z|,
+    the row of x is the row of sigma_i(x) against side A.  So one
+    ``_conflict_rows`` call over the distinct images for every i builds
+    all the rows of the instance.
     """
     n, k, s = params.n, params.k, params.s
     if binom(n, k) > cap:
         raise EnumerationTooLarge(f"C({n},{k}) exceeds cap {cap}")
-    all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
     base = params.base_set().mask
+    side_a = [x for x in ksubset_masks(n, k) if (x & base).bit_count() >= s]
 
-    side_a = [x for x in all_masks if (x & base).bit_count() >= s]
-    best = None
+    sides_b = {}
     for i in range(max(s, 2 * k - n), k + 1):
         anchor_a = _canonical_anchor(params, i)
         if (anchor_a & base).bit_count() != i:
             raise FlowCertificateError(f"anchor profile is not {i}")
-        side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
+        if _swap_blocks([base], k, i) != [anchor_a]:
+            raise FlowCertificateError(
+                f"relabeling does not map the base to the anchor of size {i}")
+        sides_b[i] = _swap_blocks(side_a, k, i)
+    images = list(dict.fromkeys(y for side_b in sides_b.values()
+                                for y in side_b))
+    table = dict(zip(images, _conflict_rows(images, side_a, s)))
+
+    best = None
+    for i, side_b in sides_b.items():
         value, picked_a, picked_b = _mis_two_copies(
-            side_a, side_b, _conflict_rows(side_a, side_b, s))
-        if anchor_a not in picked_a or base not in picked_b:
+            side_a, side_b, [table[y] for y in side_b])
+        if _canonical_anchor(params, i) not in picked_a or base not in picked_b:
             raise FlowCertificateError(f"MIS dropped an anchor at size {i}")
         if best is None or value > best[0]:
             best = (value, picked_a, picked_b)
@@ -184,7 +218,7 @@ def max_sum_nonempty_unreduced(params: Params,
     n, k, s = params.n, params.k, params.s
     if binom(n, k) > cap:
         raise EnumerationTooLarge(f"C({n},{k}) exceeds cap {cap}")
-    all_masks = [m.mask for m in enumerate_ksubsets(n, k)]
+    all_masks = ksubset_masks(n, k)
     compatible = [[i for i, y in enumerate(all_masks)
                    if (x & y).bit_count() >= s] for x in all_masks]
     sides = [[all_masks[i] for i in side] for side in compatible]

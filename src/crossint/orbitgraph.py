@@ -343,6 +343,7 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
         failures.append(f"{len(dec.paths)} paths, {len(dec.edge_types)} edge "
                         f"type rows and {len(dec.middles)} middles do not "
                         f"line up")
+    sides = {1: graph.side1, 2: graph.side2}
     mwis_total = 0
     for p, path in enumerate(dec.paths):
         best = path_mwis([v.weight for v in path]) if path else 0
@@ -355,9 +356,13 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
                             f"{len(edge_types)} edge types")
             continue
         for v in path:
-            if v.weight != orbit_weight(v.i, params):
+            own = sides.get(v.side, ())
+            j = v.i - graph.params.s
+            if not 0 <= j < len(own):
+                failures.append(f"{v.name()} is not a vertex of the graph")
+            elif v.weight != own[j].weight:
                 failures.append(f"{v.name()} carries weight {v.weight}, "
-                                f"expected {orbit_weight(v.i, params)}")
+                                f"expected {own[j].weight}")
         for (a, b), ty in zip(zip(path, path[1:]), edge_types):
             key = (a.i, b.i) if a.side == 1 else (b.i, a.i)
             if a.side == b.side or typed_lookup.get(key) != ty:

@@ -58,7 +58,13 @@ class KSet:
 
     @property
     def elements(self) -> tuple:
-        return tuple(p for p in range(1, self.n + 1) if self.mask >> p & 1)
+        out = []
+        mask = self.mask
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
 
     def __lt__(self, other: "KSet") -> bool:
         return self.elements < other.elements
@@ -163,20 +169,20 @@ class Params:
         return KSet((1 << (self.k + 1)) - 2, self.n)
 
 
-def enumerate_ksubsets(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Family:
-    """All C(n, k) subsets of [n] in lexicographic order."""
+def ksubset_masks(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list:
+    """The masks of all C(n, k) subsets of [n] in lexicographic order."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
     total = binom(n, k)
     if total > cap:
         raise OverflowError(f"C({n},{k}) = {total} exceeds enumeration cap {cap}")
-    members = []
-    for combo in combinations(range(1, n + 1), k):
-        mask = 0
-        for e in combo:
-            mask |= 1 << e
-        members.append(KSet(mask, n))
-    return Family(members, n=n, k=k)
+    bits = [1 << e for e in range(1, n + 1)]
+    return [sum(combo) for combo in combinations(bits, k)]
+
+
+def enumerate_ksubsets(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Family:
+    """All C(n, k) subsets of [n] in lexicographic order."""
+    return Family([KSet(m, n) for m in ksubset_masks(n, k, cap)], n=n, k=k)
 
 
 def is_s_cross_intersecting(f1: Family, f2: Family, s: int):

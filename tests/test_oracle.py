@@ -6,11 +6,12 @@ from crossint import (EnumerationTooLarge, Family, FlowCertificateError, KSet,
                       Params, ParamsOutOfRange, binom,
                       build_conflict_graph, build_extremal_family,
                       conflict_graph_mis, is_s_cross_intersecting,
-                      max_sum_nonempty, max_sum_nonempty_unreduced,
-                      max_weight_independent_set, size_extremal_family,
-                      verify_theorem)
+                      ksubset_masks, max_sum_nonempty,
+                      max_sum_nonempty_unreduced, max_weight_independent_set,
+                      size_extremal_family, verify_theorem)
 from crossint import oracle
-from crossint.oracle import _conflict_rows
+from crossint.oracle import (_canonical_anchor, _conflict_rows,
+                             _mis_two_copies, _swap_blocks)
 from crossint.orbitgraph import build_orbit_graph
 
 
@@ -160,6 +161,87 @@ class TestMaxSumNonempty:
                             lambda rows, num2: (1, [], []))
         with pytest.raises(FlowCertificateError, match="picked count"):
             conflict_graph_mis(Params(7, 3, 2))
+
+
+@st.composite
+def relabelings(draw):
+    """(n, k, i, x, y): sigma_i on [n] needs 2k - i <= n; x and y are
+    arbitrary subsets of [n] as masks."""
+    k = draw(st.integers(2, 10))
+    i = draw(st.integers(0, k))
+    n = draw(st.integers(2 * k - i, 24))
+    subset = st.sets(st.integers(1, n)).map(lambda e: sum(1 << p for p in e))
+    return n, k, i, draw(subset), draw(subset)
+
+
+class TestRelabeling:
+    @given(relabelings())
+    @example((4, 2, 2, 0b11110, 0b110))  # i = k: the identity
+    @example((4, 2, 0, 0b11110, 0b110))  # {1,2} and {3,4} swapped whole
+    def test_involution_preserving_intersections(self, drawn):
+        n, k, i, x, y = drawn
+        sigma_x, sigma_y = _swap_blocks([x, y], k, i)
+        assert _swap_blocks([sigma_x], k, i) == [x]
+        assert (sigma_x & sigma_y).bit_count() == (x & y).bit_count()
+        swapped = {i + j: k + j for j in range(1, k - i + 1)}
+        swapped.update({b: a for a, b in swapped.items()})
+        for e in range(1, n + 1):
+            assert _swap_blocks([1 << e], k, i) == [1 << swapped.get(e, e)]
+        params = Params(n, k, 1)
+        assert _swap_blocks([_canonical_anchor(params, i)], k, i) == \
+            [params.base_set().mask]
+
+    def test_identity_relabeling_raises(self, monkeypatch):
+        # a relabeling that misses the anchor must be caught by a raised
+        # check, not an assert that python -O strips
+        monkeypatch.setattr(oracle, "_swap_blocks",
+                            lambda masks, k, i: list(masks))
+        with pytest.raises(FlowCertificateError, match="relabeling"):
+            max_sum_nonempty(Params(7, 3, 2))
+
+
+def per_size_reference(params):
+    """The per-size oracle: side B scanned from all k-subsets and its
+    conflict rows built for each anchor size.  Returns the value and the
+    two witness mask sets."""
+    n, k, s = params.n, params.k, params.s
+    all_masks = ksubset_masks(n, k)
+    base = params.base_set().mask
+    side_a = [x for x in all_masks if (x & base).bit_count() >= s]
+    best = None
+    for i in range(max(s, 2 * k - n), k + 1):
+        anchor_a = _canonical_anchor(params, i)
+        side_b = [y for y in all_masks if (y & anchor_a).bit_count() >= s]
+        value, picked_a, picked_b = _mis_two_copies(
+            side_a, side_b, _conflict_rows(side_a, side_b, s))
+        if best is None or value > best[0]:
+            best = (value, frozenset(picked_a), frozenset(picked_b))
+    return best
+
+
+class TestSharedRowTable:
+    def test_matches_per_size_reference(self):
+        triples = [(n, k, s)
+                   for n in range(2, 15) for k in range(2, n + 1)
+                   if binom(n, k) <= 924 for s in range(1, k)]
+        assert len(triples) == 391
+        for n, k, s in triples:
+            params = Params(n, k, s)
+            value, (fam_a, fam_b) = max_sum_nonempty(params)
+            assert (value, fam_a.masks(), fam_b.masks()) == \
+                per_size_reference(params), (n, k, s)
+
+    def test_one_row_table_per_instance(self, monkeypatch):
+        calls = []
+
+        def counting(masks1, masks2, s):
+            calls.append(len(masks1))
+            return _conflict_rows(masks1, masks2, s)
+
+        monkeypatch.setattr(oracle, "_conflict_rows", counting)
+        max_sum_nonempty(Params(12, 6, 3))
+        # 872 distinct images of the 662 sets of side A over 4 sizes
+        assert calls == [872]
 
 
 class TestReductionAudit:

@@ -353,6 +353,27 @@ class TestPathValidation:
         assert not verdict.passed
         assert "decomposition was built for another graph" in verdict.witness
 
+    def test_vertex_outside_the_profiles_fails(self):
+        # profile 7 is outside {2, 3}: a failing verdict, not a raise
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        (path,) = dec.paths
+        tampered = replace(dec, paths=((OrbitVertex(1, 7, 20),) + path[1:],))
+        verdict = validate_decomposition(tampered, dec.graph)
+        assert not verdict.passed
+        assert "C_7^1 is not a vertex of the graph" in verdict.witness
+
+    def test_vertex_weight_off_by_one_fails(self):
+        params = Params(9, 4, 2)
+        dec = build_chain_decomposition(params)
+        (path,) = dec.paths
+        heavier = replace(path[1], weight=path[1].weight + 1)
+        tampered = replace(dec, paths=(path[:1] + (heavier,) + path[2:],))
+        verdict = validate_decomposition(tampered, dec.graph)
+        assert not verdict.passed
+        assert (f"{heavier.name()} carries weight {heavier.weight}, "
+                f"expected {path[1].weight}") in verdict.witness
+
     def test_missing_edge_types_fail(self):
         params = Params(9, 4, 2)
         dec = build_chain_decomposition(params)

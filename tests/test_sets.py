@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from crossint import (Family, GroundMismatch, KSet, Params, ParamsOutOfRange,
                       binom, enumerate_ksubsets, family_from_text,
                       family_to_text, intersection_size,
-                      is_s_cross_intersecting)
+                      is_s_cross_intersecting, ksubset_masks)
 from crossint.extremal import build_extremal_family
 
 
@@ -59,6 +59,12 @@ class TestKSet:
         assert kset(1, 4, n=4) < kset(2, 3, n=4)
         assert sorted([kset(2, 3, n=4), kset(1, 4, n=4)])[0].elements == (1, 4)
 
+    @given(st.integers(1, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+    def test_elements_round_trip(self, drawn):
+        n, elements = drawn
+        assert KSet.from_elements(elements, n).elements == tuple(sorted(elements))
+
 
 class TestEnumeration:
     def test_lex_order_4_2(self):
@@ -81,6 +87,20 @@ class TestEnumeration:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_ksubsets(3, 4)
+
+    def test_masks_are_the_enumerated_sets(self):
+        # Family orders its members lexicographically, so this also pins
+        # the order of the masks
+        for n in range(8):
+            for k in range(n + 1):
+                assert ksubset_masks(n, k) == [
+                    m.mask for m in enumerate_ksubsets(n, k)]
+
+    def test_masks_check_cap_and_arguments(self):
+        with pytest.raises(OverflowError):
+            ksubset_masks(30, 15, cap=1000)
+        with pytest.raises(ValueError):
+            ksubset_masks(3, 4)
 
 
 class TestIntersection:
