@@ -75,6 +75,10 @@ def _conflict_rows(masks1, masks2, s: int):
     elements of x: bit b of ``hits[j]`` is set once masks2[b] has met at
     least j of them, so the row is the complement of ``hits[s]``.  That
     is k * s big-int operations per row instead of one popcount per pair.
+
+    Three callers share it: this module's conflict graphs,
+    ``orbitgraph.check_biregularity`` (orbit degrees as row popcounts)
+    and ``sweep._enumerated_conflict`` (whether any row is nonzero).
     """
     full = (1 << len(masks2)) - 1
     ground = 0

@@ -32,6 +32,7 @@ from .bipartite import WeightedBipartiteGraph, interval_independent_set
 from .errors import (DecompositionViolation, EnumerationTooLarge,
                      IndexNotMeaningful, ParamsOutOfRange, TypedEdgeNotInW)
 from .extremal import min_pair_intersection, orbit_weight
+from .oracle import _conflict_rows
 from .report import Verdict
 from .sets import Params
 
@@ -401,8 +402,9 @@ def check_biregularity(params: Params, i: int, t: int,
     """Check that two conflicting orbits induce a biregular bipartite
     graph with nonzero degrees (constant degree on each side).
 
-    The orbits are enumerated explicitly and every pairwise intersection
-    is examined, so this is independent of any symmetry argument.
+    The orbits are enumerated explicitly and each degree is the popcount
+    of a ``_conflict_rows`` bitset row, one row per set of either orbit
+    against the other, so no symmetry argument is used.
     """
     k, s = params.k, params.s
     for x in (i, t):
@@ -418,11 +420,8 @@ def check_biregularity(params: Params, i: int, t: int,
 
     orbit_i = _orbit_masks(params, i)
     orbit_t = _orbit_masks(params, t)
-    degrees_i = [sum(1 for b in orbit_t if (a & b).bit_count() < s)
-                 for a in orbit_i]
-    degrees_t = [sum(1 for a in orbit_i if (a & b).bit_count() < s)
-                 for b in orbit_t]
-    deg_i, deg_t = set(degrees_i), set(degrees_t)
+    deg_i = {row.bit_count() for row in _conflict_rows(orbit_i, orbit_t, s)}
+    deg_t = {row.bit_count() for row in _conflict_rows(orbit_t, orbit_i, s)}
     passed = (len(deg_i) == 1 and len(deg_t) == 1
               and 0 not in deg_i and 0 not in deg_t)
     d1 = min(deg_i, default=0)

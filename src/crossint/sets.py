@@ -208,9 +208,10 @@ def family_to_text(family: Family) -> str:
 def family_from_text(text: str, n: int | None = None) -> Family:
     """Parse the canonical text form; blank lines are ignored.
 
-    The ground size defaults to the largest element seen.
+    The ground size defaults to the largest element seen.  A set given
+    on two lines is an error naming both line numbers.
     """
-    rows = []
+    rows = {}  # each set, as an element set, with its first line
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -222,7 +223,10 @@ def family_from_text(text: str, n: int | None = None) -> Family:
                              f"list of integers") from exc
         if len(set(elems)) != len(elems):
             raise ValueError(f"line {lineno}: duplicate elements in {line!r}")
-        rows.append(elems)
+        seen = rows.setdefault(frozenset(elems), lineno)
+        if seen != lineno:
+            raise ValueError(f"lines {seen} and {lineno}: the set {line!r} "
+                             f"is repeated")
     if not rows:
         raise ValueError("no sets found in input")
     if n is None:

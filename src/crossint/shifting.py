@@ -15,70 +15,66 @@ def _check_indices(i: int, j: int, n: int):
         raise BadIndices(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
 
 
-def _shift_mask(i: int, j: int, mask: int) -> int:
-    if mask >> j & 1 and not mask >> i & 1:
-        return mask ^ (1 << j) | (1 << i)
-    return mask
-
-
 def shift_set(i: int, j: int, a: KSet) -> KSet:
     """Replace element j by element i when j is in A and i is not."""
     _check_indices(i, j, a.n)
-    new = _shift_mask(i, j, a.mask)
-    return a if new == a.mask else KSet(new, a.n)
+    step = 1 << i | 1 << j
+    return KSet(a.mask ^ step, a.n) if a.mask & step == 1 << j else a
+
+
+def _pairs(n: int):
+    """Index pairs (i, j), 1 <= i < j <= n, in lexicographic order."""
+    return [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+
+
+def _movers(i: int, j: int, masks: frozenset) -> list:
+    """The members the (i, j)-shift moves: they contain j, lack i, and
+    their image is not already a member."""
+    step = 1 << i | 1 << j
+    return [m for m in masks if m & step == 1 << j and m ^ step not in masks]
+
+
+def _move(i: int, j: int, masks: frozenset, movers: list) -> frozenset:
+    """``masks`` with each mover replaced by its image."""
+    step = 1 << i | 1 << j
+    return masks.difference(movers).union([m ^ step for m in movers])
 
 
 def shift_family(i: int, j: int, family: Family) -> Family:
     """Shift every member whose image is not already present."""
     _check_indices(i, j, family.n)
     masks = family.masks()
-    out = {_shift_mask(i, j, m) for m in masks}
-    out |= {m for m in masks if _shift_mask(i, j, m) in masks}
+    movers = _movers(i, j, masks)
+    if not movers:
+        return family
+    out = _move(i, j, masks, movers)
     if len(out) != len(masks):
         raise ShiftSizeChanged(f"({i}, {j})-shift changed the family size")
     return Family.from_masks(out, family.n, family.k)
 
 
 def is_shifted(family: Family) -> bool:
-    """Whether every (i, j)-shift fixes the family.
-
-    Equivalent to: the image of every member under every shift is again
-    a member, which avoids rebuilding the family per index pair.
-    """
+    """Whether every (i, j)-shift fixes the family, i.e. no shift has a
+    mover."""
     masks = family.masks()
-    n = family.n
-    for m in masks:
-        for j in range(2, n + 1):
-            if not m >> j & 1:
-                continue
-            for i in range(1, j):
-                if m >> i & 1:
-                    continue
-                if (m ^ (1 << j) | (1 << i)) not in masks:
-                    return False
-    return True
+    return not any(_movers(i, j, masks) for i, j in _pairs(family.n))
 
 
 def shift_closure(family: Family) -> Family:
     """Apply shifts until the family is fixed by all of them.
 
-    Scans pairs (i, j) in lexicographic order and restarts after any
-    change; deterministic.  Terminates because every applied shift
+    Scans pairs (i, j) in lexicographic order, applies the first shift
+    that has movers, rewriting only those members, and restarts the
+    scan; deterministic.  Terminates because every applied shift
     strictly decreases the sum of all element labels.
     """
-    n, k = family.n, family.k
+    pairs = _pairs(family.n)
     masks = family.masks()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, n):
-            for j in range(i + 1, n + 1):
-                out = {_shift_mask(i, j, m) for m in masks}
-                out |= {m for m in masks if _shift_mask(i, j, m) in masks}
-                if out != masks:
-                    masks = out
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for i, j in pairs:
+            movers = _movers(i, j, masks)
+            if movers:
+                masks = _move(i, j, masks, movers)
                 break
-    return Family.from_masks(masks, n, k)
+        else:
+            return Family.from_masks(masks, family.n, family.k)

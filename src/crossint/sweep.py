@@ -14,10 +14,11 @@ from . import __version__
 from .errors import ConfigError, EnumerationTooLarge
 from .extremal import (check_mirror_weight_ordering, check_offset_weight_ordering,
                        min_pair_intersection, size_extremal_family)
-from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis,
+from .oracle import (DEFAULT_ORACLE_CAP, _conflict_rows, conflict_graph_mis,
                      max_sum_nonempty_unreduced, verify_theorem)
-from .orbitgraph import (build_chain_decomposition, build_orbit_graph,
-                         check_biregularity, validate_decomposition)
+from .orbitgraph import (_orbit_masks, build_chain_decomposition,
+                         build_orbit_graph, check_biregularity,
+                         validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
 from .sets import Params, binom
 
@@ -176,17 +177,11 @@ def _interval_rule(params: Params, i: int, t: int) -> bool:
     return params.k - params.l <= i + t <= params.k + params.s - 1
 
 
-def _enumerated_min_intersection(params: Params, i: int, t: int) -> int:
-    """Exhaustive minimum of |A ∩ B| over the two orbits."""
-    from .orbitgraph import _orbit_masks
-    best = params.k
-    orbit_t = _orbit_masks(params, t)
-    for a in _orbit_masks(params, i):
-        for b in orbit_t:
-            got = (a & b).bit_count()
-            if got < best:
-                best = got
-    return best
+def _enumerated_conflict(params: Params, i: int, t: int) -> bool:
+    """Whether some pair of sets from the two orbits meets in fewer than
+    s elements, by enumerating both orbits."""
+    return any(_conflict_rows(_orbit_masks(params, i),
+                              _orbit_masks(params, t), params.s))
 
 
 def _check_edges(params: Params, spec: SweepSpec):
@@ -205,8 +200,7 @@ def _check_edges(params: Params, spec: SweepSpec):
             if graph is not None:
                 routes["graph"] = graph.has_edge(i, t)
             if exhaustive:
-                routes["enumerated"] = \
-                    _enumerated_min_intersection(params, i, t) < params.s
+                routes["enumerated"] = _enumerated_conflict(params, i, t)
             if len(set(routes.values())) != 1:
                 mismatches.append({"i": i, "t": t, **routes})
     detail = (f"{len(profiles) ** 2} profile pairs agree on "

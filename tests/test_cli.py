@@ -117,6 +117,14 @@ class TestShift:
     def test_missing_file_exit_two(self, capsys):
         assert main(["shift", "/does/not/exist.txt"]) == 2
 
+    def test_repeated_set_exit_two(self, tmp_path, capsys):
+        fixture = tmp_path / "family.txt"
+        fixture.write_text("2,3\n1,3\n2,3\n")
+        assert main(["shift", str(fixture)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lines 1 and 3" in captured.err
+
     def test_malformed_fixture_exit_two(self, tmp_path, capsys):
         fixture = tmp_path / "family.txt"
         fixture.write_text("1,2\n1,2,3\n")

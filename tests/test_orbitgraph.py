@@ -472,6 +472,28 @@ class TestBiregularity:
         with pytest.raises(EnumerationTooLarge):
             check_biregularity(Params(41, 20, 2), 10, 11, cap=10_000)
 
+    def test_degrees_match_pair_scan(self):
+        # every conflicting profile pair with n <= 11, against the degree
+        # sets of a direct scan over all pairs of the two orbits
+        pairs = 0
+        for params in small_graph_params():
+            if params.n > 11:
+                continue
+            s = params.s
+            for i, t in sorted(build_orbit_graph(params).edges):
+                orbit_i = orbitgraph._orbit_masks(params, i)
+                orbit_t = orbitgraph._orbit_masks(params, t)
+                deg_i = {sum((a & b).bit_count() < s for b in orbit_t)
+                         for a in orbit_i}
+                deg_t = {sum((a & b).bit_count() < s for a in orbit_i)
+                         for b in orbit_t}
+                verdict = check_biregularity(params, i, t)
+                assert verdict.witness["degrees"] == (sorted(deg_i),
+                                                      sorted(deg_t))
+                assert verdict.passed
+                pairs += 1
+        assert pairs == 115
+
 
 class TestDotOutput:
     def test_chains_9_4_2_styling(self):

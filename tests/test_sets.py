@@ -208,6 +208,12 @@ class TestCanonicalText:
         fam = family_from_text("\n1,2\n\n2,3\n")
         assert len(fam) == 2
 
+    def test_repeated_set_names_both_lines(self):
+        with pytest.raises(ValueError, match=r"lines 1 and 3"):
+            family_from_text("2,3\n1,3\n2,3\n")
+        with pytest.raises(ValueError, match=r"lines 2 and 4"):
+            family_from_text("\n1,2\n1,3\n2,1\n")
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             family_from_text("1,two\n")

@@ -31,6 +31,62 @@ def small_families(draw):
     return Family([KSet.from_elements(t, n) for t in picked], n=n, k=k)
 
 
+@st.composite
+def families_up_to_9(draw):
+    n = draw(st.integers(2, 9))
+    k = draw(st.integers(1, min(5, n)))
+    universe = list(combinations(range(1, n + 1), k))
+    picked = draw(st.sets(st.sampled_from(universe), min_size=1,
+                          max_size=min(24, len(universe))))
+    return Family([KSet.from_elements(t, n) for t in picked], n=n, k=k)
+
+
+# -- the two-comprehension shift, kept as the reference ----------------------
+
+def reference_shift(i, j, masks):
+    """Every member's image, plus each member whose image is present."""
+    def image(m):
+        return m ^ (1 << j) | (1 << i) if m >> j & 1 and not m >> i & 1 else m
+    return ({image(m) for m in masks}
+            | {m for m in masks if image(m) in masks})
+
+
+def reference_closure(family):
+    """Lexicographic (i, j) scan that compares whole shifted families and
+    restarts after every change."""
+    n, masks = family.n, family.masks()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                out = reference_shift(i, j, masks)
+                if out != masks:
+                    masks = out
+                    changed = True
+                    break
+            if changed:
+                break
+    return Family.from_masks(masks, n, family.k)
+
+
+class TestAgainstReference:
+    @given(families_up_to_9())
+    def test_closure(self, family):
+        assert shift_closure(family) == reference_closure(family)
+
+    @given(families_up_to_9())
+    def test_every_shift_and_is_shifted(self, family):
+        masks = family.masks()
+        fixed = True
+        for i in range(1, family.n):
+            for j in range(i + 1, family.n + 1):
+                out = reference_shift(i, j, masks)
+                assert shift_family(i, j, family).masks() == out
+                fixed = fixed and out == masks
+        assert is_shifted(family) == fixed
+
+
 class TestShiftSet:
     def test_moves_element(self):
         assert shift_set(1, 3, kset(3, 4, 5, n=5)) == kset(1, 4, 5, n=5)

@@ -101,6 +101,26 @@ class TestRunSweep:
         assert bundle.passed
         assert all(rec["status"] == "pass" for rec in bundle.records)
 
+    def test_enumerated_edge_route_matches_pair_scan(self):
+        # every (n, k, s) with n <= 10 and every profile pair, including
+        # empty orbits (n - k < k - i), against a minimum over all pairs
+        pairs = 0
+        for n in range(3, 11):
+            for k in range(2, n + 1):
+                for s in range(1, k):
+                    params = Params(n, k, s)
+                    for i in range(s, k):
+                        orbit_i = orbitgraph._orbit_masks(params, i)
+                        for t in range(s, k):
+                            orbit_t = orbitgraph._orbit_masks(params, t)
+                            least = min((a & b).bit_count() for a in orbit_i
+                                        for b in orbit_t) \
+                                if orbit_i and orbit_t else k
+                            assert sweep._enumerated_conflict(params, i, t) \
+                                == (least < s), (params, i, t)
+                            pairs += 1
+        assert pairs == 2078
+
     def test_deep_audit_records(self):
         spec = SweepSpec(ks=(3,), ss=(2,), ls=(0,), checks=("theorem",),
                          deep_audit=True)
