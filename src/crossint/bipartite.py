@@ -206,22 +206,28 @@ def _hopcroft_karp(rows, num2):
     """Maximum matching of a bipartite graph; side-1 vertex a is adjacent
     to the side-2 indices b in 0..num2-1 whose bit is set in ``rows[a]``.
 
-    Each phase layers side 1 by BFS from the free side-1 vertices, then
+    A greedy seed, each row in order taking its lowest free side-2 bit, is
+    the matching the first phase would find with every vertex free.  Each
+    phase then layers side 1 by BFS from the free side-1 vertices and
     augments along vertex-disjoint shortest paths by a DFS on an explicit
-    stack.  The BFS takes each side-2 vertex out of an ``unseen`` bitset
-    the first time it meets it.  ``layer[j]`` holds the side-2 vertices
-    whose mate sits on BFS layer j; a bit is cleared when its mate dies or
-    the vertex is re-matched, so the DFS step from depth d is the lowest
-    bit of ``rows[a] & layer[d + 1]`` (of ``rows[a] & free2`` on the last
-    layer) and no per-edge iterator is needed.  Returns ``mate1``,
-    ``mate2`` (-1 when free) and the König sets: the flags of the side-1
-    vertices that alternating paths from the free side-1 vertices reach
-    under the final matching, and the bitset of the side-2 vertices they
-    reach.
+    stack.  The BFS takes each side-2 vertex out of an ``unseen`` bitset the
+    first time it meets it.  ``layer[j]`` holds the side-2 vertices whose
+    mate sits on BFS layer j; a bit is cleared when its mate dies or the
+    vertex is re-matched, so the DFS step from depth d is the lowest bit of
+    ``rows[a] & layer[d + 1]`` (of ``rows[a] & free2`` on the last layer)
+    and no per-edge iterator is needed.  Returns ``mate1``, ``mate2`` (-1
+    when free) and the König sets: the flags of the side-1 vertices that
+    alternating paths from the free side-1 vertices reach under the final
+    matching, and the bitset of the side-2 vertices they reach.
     """
     num1 = len(rows)
     mate1, mate2 = [-1] * num1, [-1] * num2
     full2 = free2 = (1 << num2) - 1
+    for a, row in enumerate(rows):
+        if nb := row & free2:
+            b = (nb & -nb).bit_length() - 1
+            mate1[a], mate2[b] = b, a
+            free2 ^= 1 << b
     while True:
         dist = [-1] * num1
         queue = [a for a in range(num1) if mate1[a] < 0]

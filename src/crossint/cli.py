@@ -17,6 +17,7 @@ skipped instance.
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__
 from .errors import ConfigError, CrossIntError
@@ -184,9 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

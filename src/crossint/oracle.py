@@ -5,8 +5,8 @@ Nothing in this module assumes the closed-form answer.  The maximum of
 anchoring one member per side reduces the search to one exact
 maximum-independent-set computation per anchor intersection size, and
 simultaneous relabeling of the ground set makes a single canonical
-anchor pair per size sufficient.  A fully unreduced variant (every
-anchor pair) is kept for auditing the reduction itself.
+anchor pair per size sufficient.  An unreduced variant (each unordered
+compatible anchor pair, no relabeling) audits the reduction itself.
 
 The relabeling for anchor size i is sigma_i, the involution of [n] that
 swaps i+j with k+j for j = 1..k-i.  It maps the base B0 = {1..k} to the
@@ -215,9 +215,10 @@ def max_sum_nonempty_unreduced(params: Params,
     of one canonical anchor per intersection size.  Quadratic in C(n, k);
     intended for tiny parameters only.
 
-    The sets compatible with an anchor form the opposite side.  Every
-    set's row against each anchor's compatible list is built once; an
-    anchor pair then picks the rows of its side_a.
+    The sets compatible with an anchor form the opposite side; every
+    set's row against each such side is built once.  Swapping the anchors
+    swaps the sides, transposing the conflict graph and keeping its MIS,
+    so only the pairs with anchor_a >= anchor_b by lex index are solved.
     """
     n, k, s = params.n, params.k, params.s
     if binom(n, k) > cap:
@@ -229,11 +230,10 @@ def max_sum_nonempty_unreduced(params: Params,
     rows_against = [_conflict_rows(all_masks, side, s) for side in sides]
     best = -1
     for anchor_b, side_a in enumerate(compatible):
-        for anchor_a in side_a:
+        for anchor_a in side_a[side_a.index(anchor_b):]:
             rows = [rows_against[anchor_a][i] for i in side_a]
-            value, _, _ = _mis_two_copies(sides[anchor_b], sides[anchor_a],
-                                          rows)
-            best = max(best, value)
+            best = max(best, _mis_two_copies(sides[anchor_b], sides[anchor_a],
+                                             rows)[0])
     return best
 
 

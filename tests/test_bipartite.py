@@ -194,7 +194,7 @@ class TestUnitWeightIndependentSet:
 
     def test_long_augmenting_path_does_not_recurse(self):
         # a_i - b_i and a_i - b_(i+1), with b_j at bit n-1-j so that the
-        # lowest bit of row i is b_(i+1): the first phase leaves a_(n-1)
+        # lowest bit of row i is b_(i+1): the greedy seed leaves a_(n-1)
         # free, and the one augmenting path left runs through all 1,500
         # vertices of each side
         n = 1500
@@ -204,6 +204,18 @@ class TestUnitWeightIndependentSet:
         edges = {(a, b) for a, row in enumerate(rows) for b in range(n)
                  if row >> b & 1}
         chosen, _ = dinic_reference(n, n, edges)
+        assert chosen == frozenset([(1, a) for a in chosen1]
+                                   + [(2, b) for b in chosen2])
+
+    def test_augments_past_a_non_maximum_seed(self):
+        # the seed matches a_0 - b_0 and leaves a_1, adjacent to b_0 only,
+        # free; the phases must re-route a_0 to b_1
+        rows = [0b11, 0b01]
+        mate1, mate2, _, _ = bipartite._hopcroft_karp(rows, 2)
+        assert mate1 == [1, 0] and mate2 == [1, 0]
+        value, chosen1, chosen2 = unit_weight_independent_set(rows, 2)
+        assert value == 2
+        chosen, _ = dinic_reference(2, 2, {(0, 0), (0, 1), (1, 0)})
         assert chosen == frozenset([(1, a) for a in chosen1]
                                    + [(2, b) for b in chosen2])
 

@@ -1,5 +1,6 @@
 import json
 
+from crossint import cli
 from crossint.cli import main
 
 from conftest import break_chain_decompositions
@@ -57,6 +58,14 @@ class TestSweepCommands:
         code = main(["verify", "--k", "5", "--s", "2", "--l", "4",
                      "--cap", "100", "--strict"])
         assert code == 2
+
+    def test_strict_flags_a_deep_audit_above_its_cap(self, capsys):
+        code = main(["verify", "--n", "9", "--k", "4", "--s", "2",
+                     "--deep-audit", "--strict"])
+        assert code == 2
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [(rec["claim"], rec["status"]) for rec in records] == [
+            ("theorem.max-sum", "pass"), ("theorem.reduction-audit", "skip")]
 
     def test_csv_output_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
@@ -129,3 +138,52 @@ class TestShift:
         fixture = tmp_path / "family.txt"
         fixture.write_text("1,2\n1,2,3\n")
         assert main(["shift", str(fixture)]) == 2
+
+
+def without_timings(text):
+    payload = json.loads(text)
+    del payload["runtime_millis"]
+    for rec in payload["records"]:
+        del rec["millis"]
+    return payload
+
+
+class TestParserReuse:
+    ARGVS = (["verify", "--n", "6", "--k", "3", "--s", "2", "--deep-audit",
+              "--strict"],
+             ["verify", "--n", "6", "--k", "3", "--s", "2"])
+
+    def run_all(self, capsys):
+        results = []
+        for argv in self.ARGVS:
+            code = main(argv)
+            results.append((code, without_timings(capsys.readouterr().out)))
+        return results
+
+    def test_same_reports_as_fresh_parsers(self, capsys, monkeypatch):
+        cached = self.run_all(capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert cached == self.run_all(capsys)
+        # the flags of the first call do not leak into the second
+        assert [(code, len(payload["records"]), payload["spec"]["deep_audit"])
+                for code, payload in cached] == [(0, 2, True), (0, 1, False)]
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            self.run_all(capsys)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_is_fresh(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()

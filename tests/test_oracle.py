@@ -10,6 +10,7 @@ from crossint import (EnumerationTooLarge, Family, FlowCertificateError, KSet,
                       max_sum_nonempty_unreduced, max_weight_independent_set,
                       size_extremal_family, verify_theorem)
 from crossint import oracle
+from crossint.bipartite import unit_weight_independent_set
 from crossint.oracle import (_canonical_anchor, _conflict_rows,
                              _mis_two_copies, _swap_blocks)
 from crossint.orbitgraph import build_orbit_graph
@@ -244,7 +245,50 @@ class TestSharedRowTable:
         assert calls == [872]
 
 
+def ordered_reference(params):
+    """The audit over every ordered compatible anchor pair.  Returns its
+    value and the MIS of each ordered pair (anchor_b, anchor_a)."""
+    n, k, s = params.n, params.k, params.s
+    all_masks = ksubset_masks(n, k)
+    compatible = [[i for i, y in enumerate(all_masks)
+                   if (x & y).bit_count() >= s] for x in all_masks]
+    sides = [[all_masks[i] for i in side] for side in compatible]
+    rows_against = [_conflict_rows(all_masks, side, s) for side in sides]
+    values = {}
+    for anchor_b, side_a in enumerate(compatible):
+        for anchor_a in side_a:
+            rows = [rows_against[anchor_a][i] for i in side_a]
+            values[anchor_b, anchor_a], _, _ = _mis_two_copies(
+                sides[anchor_b], sides[anchor_a], rows)
+    return max(values.values()), values
+
+
 class TestReductionAudit:
+    def test_unordered_pairs_match_ordered_reference(self, monkeypatch):
+        triples = [(n, k, s)
+                   for n in range(4, 11) for k in range(2, n + 1)
+                   if binom(n, k) <= 35 for s in range(1, k)]
+        assert len(triples) == 103
+        calls = []
+
+        def counting(rows, num2):
+            calls.append(num2)
+            return unit_weight_independent_set(rows, num2)
+
+        for n, k, s in triples:
+            params = Params(n, k, s)
+            want, values = ordered_reference(params)
+            # swapping the anchors transposes the conflict graph
+            for x, y in values:
+                assert values[x, y] == values[y, x], (n, k, s, x, y)
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(oracle, "unit_weight_independent_set",
+                                counting)
+                assert max_sum_nonempty_unreduced(params) == want, (n, k, s)
+            # every diagonal pair once, every other unordered pair once
+            assert 2 * len(calls) == len(values) + binom(n, k), (n, k, s)
+
     def test_canonical_anchors_suffice(self):
         # every (n, k, s) with C(n, k) <= 35: the canonical-anchor oracle
         # agrees with the oracle that tries all compatible anchor pairs

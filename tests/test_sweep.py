@@ -2,11 +2,13 @@ import copy
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from crossint import (ConfigError, LemmaReport, Params, ReportBundle,
-                      SweepSpec, emit_report, orbitgraph, run_sweep, sweep)
+                      SweepSpec, binom, emit_report, orbitgraph, run_sweep,
+                      sweep)
 from crossint.cli import main
 
 from conftest import break_chain_decompositions
@@ -128,6 +130,33 @@ class TestRunSweep:
         claims = [rec["claim"] for rec in bundle.records]
         assert "theorem.reduction-audit" in claims
         assert bundle.passed
+
+    def test_theorem_millis_excludes_the_audit(self, monkeypatch):
+        audit = sweep.max_sum_nonempty_unreduced
+
+        def slow_audit(params, cap):
+            time.sleep(0.3)
+            return audit(params, cap=cap)
+
+        monkeypatch.setattr(sweep, "max_sum_nonempty_unreduced", slow_audit)
+        spec = SweepSpec(ks=(3,), ss=(2,), ns=(6,), checks=("theorem",),
+                         deep_audit=True)
+        theorem, audited = run_sweep(spec).records
+        assert audited["claim"] == "theorem.reduction-audit"
+        assert audited["millis"] >= 300
+        assert theorem["millis"] < 300
+
+    def test_deep_audit_above_its_cap_is_a_skip(self):
+        spec = SweepSpec(ks=(4,), ss=(2,), ns=(9,), checks=("theorem",),
+                         deep_audit=True)
+        assert binom(9, 4) > sweep.DEEP_AUDIT_CAP
+        bundle = run_sweep(spec)
+        theorem, skipped = bundle.records
+        assert theorem["status"] == "pass"
+        assert (skipped["check"], skipped["claim"], skipped["status"]) == \
+            ("theorem", "theorem.reduction-audit", "skip")
+        assert f"C(n,k) > {sweep.DEEP_AUDIT_CAP}" in skipped["detail"]
+        assert bundle.summary["skip"] == 1
 
     def test_reproducible_modulo_timings(self):
         spec = SweepSpec(ks=(3, 4), ss=(2, 3), ls=(0, 1),
