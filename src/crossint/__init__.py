@@ -23,7 +23,7 @@ from .sets import (DEFAULT_ENUMERATION_CAP, Family, KSet, Params, binom,
 from .shifting import is_shifted, shift_closure, shift_family, shift_set
 from .extremal import (build_extremal_family, check_mirror_weight_ordering,
                        check_offset_weight_ordering, extremal_pair,
-                       min_pair_intersection, orbit_weight,
+                       min_pair_intersection, orbit_weight, orbit_weights,
                        size_extremal_family)
 from .bipartite import (FlowNetwork, WeightedBipartiteGraph,
                         check_fractional_weak_duality, max_flow,

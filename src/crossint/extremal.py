@@ -23,10 +23,13 @@ So below the midpoint w(i)/w(j) > 1 at l = 0 and grows with l; above
 it w(j)/w(i) does the same; at the midpoint i = j.  At s = 1 step 1
 fails: i-s+1 = i, every mirror pair ties at l = 0, and the law as
 stated does not hold there.  Tests pin each step in cross-multiplied
-integers.
+integers.  Both laws read ``orbit_weights``: w(s..k) by the exact
+recurrence w(i+1) = w(i) (k-i)^2 / ((i+1)(n-2k+i+1)), where a division
+with a remainder raises ArithmeticError (not an assert: python -O keeps it).
 """
 
-from .errors import IndexNotMeaningful
+from .errors import IndexNotMeaningful, ParamsOutOfRange
+from .report import LemmaReport
 from .sets import DEFAULT_ENUMERATION_CAP, Family, Params, binom, enumerate_ksubsets
 
 
@@ -54,6 +57,22 @@ def orbit_weight(i: int, params: Params) -> int:
     return binom(k, i) * binom(n - k, k - i)
 
 
+def orbit_weights(params: Params) -> list:
+    """[w(s), ..., w(k)] by the exact recurrence, from the first profile
+    with sets (i >= 2k-n, so n-2k+i+1 >= 1); earlier ones weigh 0."""
+    n, k, s = params.n, params.k, params.s
+    first = max(s, 2 * k - n)
+    w = binom(k, first) * binom(n - k, k - first)
+    weights = [0] * (first - s) + [w]
+    for i in range(first, k):
+        w, rest = divmod(w * (k - i) * (k - i), (i + 1) * (n - 2 * k + i + 1))
+        if rest:
+            raise ArithmeticError(f"orbit weight recurrence left remainder "
+                                  f"{rest} at profile {i + 1} for {params}")
+        weights.append(w)
+    return weights
+
+
 def min_pair_intersection(i: int, t: int, params: Params) -> int:
     """Minimum of |A ∩ B| over profile-i sets A and profile-t sets B.
 
@@ -75,13 +94,12 @@ def check_mirror_weight_ordering(params: Params):
     The comparison 2i <= k+s-1 is kept in integers to avoid rounding.
     Returns a LemmaReport with one instance per profile.
     """
-    from .report import LemmaReport
     k, s = params.k, params.s
+    weights = orbit_weights(params)
     report = LemmaReport(claim="weights.mirror-ordering", params=params)
     for i in range(s, k):
         j = k + s - 1 - i
-        wi = orbit_weight(i, params)
-        wj = orbit_weight(j, params)
+        wi, wj = weights[i - s], weights[j - s]
         lhs = wi >= wj
         rhs = 2 * i <= k + s - 1
         ok = lhs == rhs
@@ -101,18 +119,16 @@ def check_offset_weight_ordering(params: Params):
     Vacuously passes when no offset keeps both profiles in {s..k-1}.
     Requires slack l >= 0.
     """
-    from .errors import ParamsOutOfRange
-    from .report import LemmaReport
     k, s, l = params.k, params.s, params.l
     if l < 0:
         raise ParamsOutOfRange(f"need slack l >= 0, got l={l}")
     a = (k - l) // 2
     b = (k + s - 1) // 2
+    weights = orbit_weights(params)
     report = LemmaReport(claim="weights.offset-ordering", params=params)
     i = 1
     while a - i >= s and b + i <= k - 1:
-        wlow = orbit_weight(a - i, params)
-        whigh = orbit_weight(b + i, params)
+        wlow, whigh = weights[a - i - s], weights[b + i - s]
         ok = wlow <= whigh
         report.instances.append({
             "offset": i, "low": a - i, "high": b + i,

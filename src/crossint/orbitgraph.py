@@ -6,10 +6,11 @@ some pair of sets with those profiles intersects in fewer than s
 elements, which happens iff k-l <= i+t <= k+s-1.  So the side-2
 neighbours of profile i form the interval
 [max(s, k-l-i), min(k-1, k+s-1-i)], and the graph is stored as that
-interval per profile; the edge set is derived only when asked for.  Both
-ends are non-increasing in i, so the graph is a bipartite permutation
-graph, and its maximum-weight independent set can be read off a greedy
-flow (``bipartite.interval_independent_set``).
+interval per profile beside one weight list w(s..k-1); the edge set and
+the OrbitVertex records of ``side1``/``side2`` are derived when read, so
+the lemma1 certificate builds none.  Both ends are non-increasing in i,
+so the graph is a bipartite permutation graph, and its maximum-weight
+independent set is read off a greedy flow (``interval_independent_set``).
 
 Three families of edges are singled out: profile-mirroring edges
 (i, k+s-1-i) of type 1, equal-profile edges (i, i) of type 2 inside the
@@ -26,19 +27,21 @@ edge is exactly what validate_decomposition checks.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, count, repeat
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 from .bipartite import WeightedBipartiteGraph, interval_independent_set
 from .errors import (DecompositionViolation, EnumerationTooLarge,
                      IndexNotMeaningful, ParamsOutOfRange, TypedEdgeNotInW)
-from .extremal import min_pair_intersection, orbit_weight
+from .extremal import min_pair_intersection, orbit_weight, orbit_weights
 from .oracle import _conflict_rows
 from .report import Verdict
 from .sets import Params
 
 
-@dataclass(frozen=True)
-class OrbitVertex:
+class OrbitVertex(NamedTuple):
     side: int  # 1 or 2
     i: int     # intersection profile, s <= i <= k-1
     weight: int
@@ -50,12 +53,17 @@ class OrbitVertex:
 @dataclass(frozen=True)
 class OrbitGraph:
     params: Params
-    side1: tuple  # OrbitVertex, ascending profile
-    side2: tuple
+    weights: tuple    # w(i) for profiles i = s..k-1, the same on both sides
     intervals: tuple  # (lo, hi): side-2 neighbours of each side-1 profile
 
+    # OrbitVertex per profile, ascending; built on first read
+    side1 = cached_property(lambda self: tuple(map(
+        OrbitVertex, repeat(1), count(self.params.s), self.weights)))
+    side2 = cached_property(lambda self: tuple(map(
+        OrbitVertex, repeat(2), count(self.params.s), self.weights)))
+
     def profiles(self):
-        return tuple(v.i for v in self.side1)
+        return tuple(range(self.params.s, self.params.s + len(self.weights)))
 
     def has_edge(self, i: int, t: int) -> bool:
         j = i - self.params.s
@@ -66,7 +74,7 @@ class OrbitGraph:
 
     def _edge_list(self):
         """Edges (i on side 1, t on side 2), ascending."""
-        return [(v.i, t) for v, (lo, hi) in zip(self.side1, self.intervals)
+        return [(i, t) for i, (lo, hi) in enumerate(self.intervals, self.params.s)
                 for t in range(lo, hi + 1)]
 
     @property
@@ -75,13 +83,14 @@ class OrbitGraph:
         return frozenset(self._edge_list())
 
     def one_side_weight(self) -> int:
-        return sum(v.weight for v in self.side1)
+        return sum(self.weights)
 
     def as_bipartite(self) -> WeightedBipartiteGraph:
         """The same graph with vertices labelled (side, profile)."""
+        s = self.params.s
         return WeightedBipartiteGraph(
-            tuple(((1, v.i), v.weight) for v in self.side1),
-            tuple(((2, v.i), v.weight) for v in self.side2),
+            tuple(((1, i), w) for i, w in enumerate(self.weights, s)),
+            tuple(((2, i), w) for i, w in enumerate(self.weights, s)),
             tuple(((1, i), (2, t)) for i, t in self._edge_list()))
 
     def max_weight_independent_set(self):
@@ -90,7 +99,7 @@ class OrbitGraph:
         on the intervals by the earliest-deadline greedy flow."""
         s = self.params.s
         weight, chosen1, chosen2 = interval_independent_set(
-            [v.weight for v in self.side1], [v.weight for v in self.side2],
+            self.weights, self.weights,
             [(lo - s, hi - s) for lo, hi in self.intervals])
         chosen = frozenset([(1, a + s) for a in chosen1]
                            + [(2, b + s) for b in chosen2])
@@ -110,20 +119,17 @@ def build_orbit_graph(params: Params) -> OrbitGraph:
     """The weighted conflict graph between orbit profiles of both sides."""
     _require_graph_params(params)
     k, s, l = params.k, params.s, params.l
-    side1, side2, intervals = [], [], []
+    intervals = []
     for i in range(s, k):
-        weight = orbit_weight(i, params)
-        lo, hi = max(s, k - l - i), min(k - 1, k + s - 1 - i)
+        lo, hi = max(s, k - l - i), k + s - 1 - i  # <= k-1 as i >= s
         if lo > hi:
             raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
-        side1.append(OrbitVertex(1, i, weight))
-        side2.append(OrbitVertex(2, i, weight))
         intervals.append((lo, hi))
-    return OrbitGraph(params, tuple(side1), tuple(side2), tuple(intervals))
+    return OrbitGraph(params, tuple(orbit_weights(params)[:-1]),
+                      tuple(intervals))
 
 
-@dataclass(frozen=True)
-class TypedEdge:
+class TypedEdge(NamedTuple):
     left: OrbitVertex   # side 1
     right: OrbitVertex  # side 2
     edge_type: int      # 1, 2, or 3
@@ -158,13 +164,15 @@ def classify_edges(graph: OrbitGraph):
         raise DecompositionViolation(
             f"typed edge families overlap for params {params}")
 
+    side1, side2 = graph.side1, graph.side2
     out = []
     for (i, t), ty in sorted(typed.items()):
-        if not graph.has_edge(i, t):
+        lo, hi = graph.intervals[i - s]
+        if not lo <= t <= hi:
             raise TypedEdgeNotInW(
                 f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
                 f"for params {params}")
-        out.append(TypedEdge(graph.side1[i - s], graph.side2[t - s], ty))
+        out.append(TypedEdge(side1[i - s], side2[t - s], ty))
     return out
 
 
@@ -199,50 +207,52 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
     """
     graph = build_orbit_graph(params)
     typed = tuple(classify_edges(graph))
+    s, side1, side2, m = params.s, graph.side1, graph.side2, len(graph.weights)
 
-    # profile -> (other end, type), per side: mirror edges and the rest
-    mirror1, mirror2, other1, other2 = {}, {}, {}, {}
+    # each vertex's mirror and type-2/3 edge, by side and profile - s
+    mirror1, mirror2, other1, other2 = ([None] * m for _ in range(4))
     for e in typed:
-        at_left, at_right = ((mirror1, mirror2) if e.edge_type == 1
-                             else (other1, other2))
-        for ends, v, w in ((at_left, e.left, e.right),
-                           (at_right, e.right, e.left)):
-            if v.i in ends:
-                raise DecompositionViolation(
-                    f"vertex {v.name()} has two typed edges of one kind",
-                    offending=v)
-            ends[v.i] = (w, e.edge_type)
-    for v in graph.side1 + graph.side2:
-        if v.i not in (mirror1 if v.side == 1 else mirror2):
+        a, b = e.left.i - s, e.right.i - s
+        at1, at2 = (mirror1, mirror2) if e.edge_type == 1 else (other1, other2)
+        if at1[a] is not None or at2[b] is not None:
+            v = e.left if at1[a] is not None else e.right
+            raise DecompositionViolation(
+                f"vertex {v.name()} has two typed edges of one kind",
+                offending=v)
+        at1[a] = at2[b] = e
+    for side, at in ((side1, mirror1), (side2, mirror2)):
+        if None in at:
+            v = side[at.index(None)]
             raise DecompositionViolation(
                 f"vertex {v.name()} has no mirror edge", offending=v)
 
     chains = []
-    for v in graph.side1:
-        if v.i in other1:
+    for v, e in zip(side1, other1):
+        if e is not None:
             continue
         path, types = [v], []
         while True:
-            w, _ = mirror1[v.i]
+            w = mirror1[v.i - s].right
             path.append(w)
             types.append(1)
-            if w.i not in other2:
+            e = other2[w.i - s]
+            if e is None:
                 break
-            v, ty = other2[w.i]
+            v = e.left
             path.append(v)
-            types.append(ty)
+            types.append(e.edge_type)
         half = len(path) // 2
         middle = (path[half - 1], path[half], types[half - 1])
         chains.append((min(u.i for u in path[0::2]), tuple(path),
                        tuple(types), middle))
-    if sum(len(chain[1]) for chain in chains) != 2 * len(graph.side1):
-        on_path = {u for chain in chains for u in chain[1]}
-        left_out = [u for u in graph.side1 + graph.side2 if u not in on_path]
+    if sum(len(c[1]) for c in chains) != 2 * m:
+        on_path = {u for _, path, _, _ in chains for u in path}
+        left_out = [u for u in side1 + side2 if u not in on_path]
         raise DecompositionViolation(
             f"vertices {[u.name() for u in left_out]} lie on no path",
             offending=left_out)
 
-    chains.sort(key=lambda chain: chain[0])
+    chains.sort(key=itemgetter(0))
     _, paths, edge_types, middles = zip(*chains)
     return ChainDecomposition(params, paths, edge_types, middles, graph, typed)
 
@@ -254,18 +264,16 @@ def path_mwis(weights) -> int:
         raise ValueError("empty weight sequence")
     take, skip = 0, 0
     for w in weights:
-        take, skip = skip + w, max(take, skip)
+        take, skip = skip + w, take if take > skip else skip
     return max(take, skip)
 
 
-def _path_failures(path, edge_types, middle, best):
-    """Weight-profile checks for one path whose MWIS is ``best``;
-    returns failure strings."""
-    failures = []
-    weights = [v.weight for v in path]
+def _path_failures(path, weights, edge_types, middle, best):
+    """Weight-profile checks for one path with vertex weights ``weights``
+    and MWIS ``best``; returns failure strings."""
     if len(path) % 2 != 0:
-        failures.append(f"odd vertex count {len(path)}")
-        return failures
+        return [f"odd vertex count {len(path)}"]
+    failures = []
     half = len(path) // 2
 
     left, right, mid_type = middle
@@ -280,22 +288,19 @@ def _path_failures(path, edge_types, middle, best):
         failures.append(
             f"middle weights differ: {left.name()}={left.weight}, "
             f"{right.name()}={right.weight}")
-    if any(weights[p] > weights[p + 1] for p in range(half - 1)) or \
-            any(weights[p] < weights[p + 1] for p in range(half, len(weights) - 1)):
+    rising, falling = weights[:half], weights[half:]
+    if rising != sorted(rising) or falling != sorted(falling, reverse=True):
         failures.append(f"weights not monotone toward the middle: {weights}")
 
     total = sum(weights)
     if 2 * best != total:
         failures.append(f"path MWIS {best} != half of total {total}")
 
-    for ty in edge_types[0::2]:
-        if ty != 1:
-            failures.append("mirror edges not in alternating position")
-            break
-    for ty in edge_types[1::2]:
-        if ty == 1:
-            failures.append("interleaved edge has type 1")
-            break
+    mirrors = edge_types[0::2]
+    if mirrors.count(1) != len(mirrors):
+        failures.append("mirror edges not in alternating position")
+    if 1 in edge_types[1::2]:
+        failures.append("interleaved edge has type 1")
     return failures
 
 
@@ -303,19 +308,21 @@ def _typed_edge_failures(typed, graph: OrbitGraph):
     """Typed edges that are not edges between the graph's own vertices,
     or whose type does not match their form: type 1 exactly on mirror
     pairs i+t = k+s-1, type 2 on the other equal-profile pairs and
-    type 3 on the rest."""
+    type 3 on the rest; and each carried type by (profile, profile)."""
     s, mirror = graph.params.s, graph.params.k + graph.params.s - 1
-    failures = []
-    for e in typed:
-        i, t = e.left.i, e.right.i
-        if not (graph.has_edge(i, t) and e.left == graph.side1[i - s]
-                and e.right == graph.side2[t - s]):
-            failures.append(f"typed edge {e.left.name()}--{e.right.name()} "
+    failures, types, intervals = [], {}, graph.intervals
+    for left, right, ty in typed:
+        i, t = left.i, right.i
+        types[i, t] = ty
+        lo, hi = intervals[i - s] if 0 <= i - s < len(intervals) else (1, 0)
+        if not (lo <= t <= hi and left == graph.side1[i - s]
+                and right == graph.side2[t - s]):
+            failures.append(f"typed edge {left.name()}--{right.name()} "
                             f"is not an edge of the graph")
-        elif e.edge_type != (1 if i + t == mirror else 2 if i == t else 3):
-            failures.append(f"typed edge {e.left.name()}--{e.right.name()} "
-                            f"does not have the form of type {e.edge_type}")
-    return failures
+        elif ty != (1 if i + t == mirror else 2 if i == t else 3):
+            failures.append(f"typed edge {left.name()}--{right.name()} "
+                            f"does not have the form of type {ty}")
+    return failures, types
 
 
 def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdict:
@@ -329,25 +336,27 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
     params = dec.params
     failures = []
 
-    claimed = [(v.side, v.i) for path in dec.paths for v in path]
-    expected = sorted((v.side, v.i) for v in graph.side1 + graph.side2)
-    if sorted(claimed) != expected or len(set(claimed)) != len(claimed):
+    own = graph.side1 + graph.side2
+    claimed, where = list(chain.from_iterable(dec.paths)), attrgetter("side", "i")
+    vertices = set(own)  # a path of these passes the vertex checks
+    if len(claimed) != len(own) or set(claimed) != vertices and \
+            set(map(where, claimed)) != set(map(where, own)):
         failures.append("paths do not partition the vertex set")
 
-    if graph != dec.graph:
+    if dec.graph is not graph and dec.graph != graph:
         failures.append("decomposition was built for another graph")
-    failures.extend(_typed_edge_failures(dec.typed, graph))
-    typed_lookup = {(e.left.i, e.right.i): e.edge_type for e in dec.typed}
+    typed_failures, typed_lookup = _typed_edge_failures(dec.typed, graph)
+    failures += typed_failures
 
     aligned = len(dec.paths) == len(dec.edge_types) == len(dec.middles)
     if not aligned:
         failures.append(f"{len(dec.paths)} paths, {len(dec.edge_types)} edge "
                         f"type rows and {len(dec.middles)} middles do not "
                         f"line up")
-    sides = {1: graph.side1, 2: graph.side2}
     mwis_total = 0
     for p, path in enumerate(dec.paths):
-        best = path_mwis([v.weight for v in path]) if path else 0
+        weights = [v.weight for v in path]
+        best = path_mwis(weights) if path else 0
         mwis_total += best
         if not aligned:
             continue
@@ -356,20 +365,21 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
             failures.append(f"path {p} has {len(path)} vertices and "
                             f"{len(edge_types)} edge types")
             continue
-        for v in path:
-            own = sides.get(v.side, ())
-            j = v.i - graph.params.s
-            if not 0 <= j < len(own):
-                failures.append(f"{v.name()} is not a vertex of the graph")
-            elif v.weight != own[j].weight:
-                failures.append(f"{v.name()} carries weight {v.weight}, "
-                                f"expected {own[j].weight}")
-        for (a, b), ty in zip(zip(path, path[1:]), edge_types):
+        if not vertices.issuperset(path):
+            for v in path:
+                j = v.i - graph.params.s
+                if v.side not in (1, 2) or not 0 <= j < len(graph.weights):
+                    failures.append(f"{v.name()} is not a vertex of the graph")
+                elif v.weight != graph.weights[j]:
+                    failures.append(f"{v.name()} carries weight {v.weight}, "
+                                    f"expected {graph.weights[j]}")
+        for a, b, ty in zip(path, path[1:], edge_types):
             key = (a.i, b.i) if a.side == 1 else (b.i, a.i)
             if a.side == b.side or typed_lookup.get(key) != ty:
                 failures.append(f"{a.name()}--{b.name()} is not a typed edge "
                                 f"of type {ty}")
-        failures.extend(_path_failures(path, edge_types, dec.middles[p], best))
+        failures.extend(_path_failures(path, weights, edge_types,
+                                       dec.middles[p], best))
 
     side_weight = graph.one_side_weight()
     if mwis_total != side_weight:
@@ -463,8 +473,7 @@ def decomposition_to_dot(dec: ChainDecomposition) -> str:
     """DOT rendering of the chain paths, edges styled by type."""
     p = dec.params
     lines = [f"graph chains_n{p.n}_k{p.k}_s{p.s} {{", "  rankdir=LR;"]
-    vertices = sorted((v.side, v.i, v) for path in dec.paths for v in path)
-    for _, _, v in vertices:
+    for v in sorted(chain.from_iterable(dec.paths)):
         lines.append(f'  "{v.name()}" [label="{v.name()} (w={v.weight})"];')
     for path, edge_types in zip(dec.paths, dec.edge_types):
         for (a, b), ty in zip(zip(path, path[1:]), edge_types):

@@ -122,8 +122,8 @@ class ReportBundle:
         lines = [header[:-1] + ', "records": [']
         if self.records:
             lines.append(",\n".join(map(encode, self.records)))
-        lines.append(f'], "runtime_millis": {encode(self.runtime_millis)}}}')
-        return "\n".join(lines) + "\n"
+        lines += [f'], "runtime_millis": {encode(self.runtime_millis)}}}', ""]
+        return "\n".join(lines)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

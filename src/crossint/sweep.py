@@ -228,11 +228,11 @@ def _check_biregular(params: Params, spec: SweepSpec):
         return [skip_record(params, "biregular",
                             "inapplicable: needs s >= 2 and slack l >= 0")]
     start = time.perf_counter()
-    graph = build_orbit_graph(params)
+    edges = sorted(build_orbit_graph(params).edges)
     failures = []
     degrees = {}
     try:
-        for i, t in sorted(graph.edges):
+        for i, t in edges:
             verdict = check_biregularity(params, i, t)
             degrees[f"({i},{t})"] = verdict.witness["degrees"]
             if not verdict.passed:
@@ -246,7 +246,7 @@ def _check_biregular(params: Params, spec: SweepSpec):
         oracle_value=None,
         passed=not failures,
         witness={"degrees": degrees},
-        detail=(f"{len(graph.edges)} conflicting orbit pairs, all biregular"
+        detail=(f"{len(edges)} conflicting orbit pairs, all biregular"
                 if not failures else f"failures: {failures[:3]}"),
     )
     return [_timed(verdict.to_record("biregular"), start)]

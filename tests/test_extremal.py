@@ -3,12 +3,13 @@ from math import comb
 
 import pytest
 
+import crossint.extremal as extremal
 from crossint import (IndexNotMeaningful, LemmaReport, Params,
                       ParamsOutOfRange, binom,
                       build_extremal_family, check_mirror_weight_ordering,
                       check_offset_weight_ordering, extremal_pair,
                       is_s_cross_intersecting, min_pair_intersection,
-                      orbit_weight, size_extremal_family)
+                      orbit_weight, orbit_weights, size_extremal_family)
 
 
 def orbit_masks(params, profile):
@@ -87,6 +88,35 @@ class TestOrbitWeights:
         params = Params(9, 4, 2)
         for i in range(2, 5):
             assert orbit_weight(i, params) == len(orbit_masks(params, i))
+
+
+class TestOrbitWeightList:
+    def test_equals_closed_form_on_criterion_7_range(self):
+        # every triple of criterion 7 (k <= 60, l <= 60)
+        for k in range(3, 61):
+            for s in range(2, k):
+                for l in range(0, 61):
+                    params = Params(2 * k - s + 1 + l, k, s)
+                    weights = orbit_weights(params)
+                    assert weights == [orbit_weight(i, params)
+                                       for i in range(s, k + 1)], params
+                    assert sum(weights) == size_extremal_family(params)
+
+    def test_empty_profiles_below_2k_minus_n(self):
+        # n < 2k - s - 1 leaves profiles i < 2k - n without sets
+        for k in range(2, 9):
+            for s in range(1, k):
+                for n in range(k, 2 * k + 3):
+                    params = Params(n, k, s)
+                    assert orbit_weights(params) == \
+                        [orbit_weight(i, params) for i in range(s, k + 1)]
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # a wrong first weight, 1 for (9, 4, 2), leaves 4 / 12 at profile 3;
+        # the error is raised, not asserted, so python -O keeps it
+        monkeypatch.setattr(extremal, "binom", lambda a, b: 1)
+        with pytest.raises(ArithmeticError, match="remainder 4 at profile 3"):
+            orbit_weights(Params(9, 4, 2))
 
 
 class TestMinPairIntersection:

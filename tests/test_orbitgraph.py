@@ -10,8 +10,8 @@ from crossint import (DecompositionViolation, EnumerationTooLarge,
                       ParamsOutOfRange, TypedEdge, build_chain_decomposition,
                       build_orbit_graph, check_biregularity, classify_edges,
                       decomposition_to_dot, graph_to_dot,
-                      min_pair_intersection, path_mwis, size_extremal_family,
-                      validate_decomposition)
+                      min_pair_intersection, orbit_weight, path_mwis,
+                      size_extremal_family, validate_decomposition)
 from crossint.orbitgraph import _path_failures
 
 from conftest import small_graph_params
@@ -157,6 +157,65 @@ class TestClassifyEdges:
                 assert types.count(2) + types.count(3) <= 1
 
 
+def reference_decomposition(params):
+    """(paths, edge_types, middles, typed) by the dict walk the chain
+    construction used before its per-profile index arrays: the typed
+    edges from a dict of (profile, profile) pairs, each vertex's typed
+    edges in dicts keyed by profile.  Vertices carry orbit_weight."""
+    k, s, l = params.k, params.s, params.l
+    profiles = range(s, k)
+    side1 = {i: OrbitVertex(1, i, orbit_weight(i, params)) for i in profiles}
+    side2 = {i: OrbitVertex(2, i, orbit_weight(i, params)) for i in profiles}
+
+    band_lo = -(-(k - l) // 2)
+    pairs = [((i, k + s - 1 - i), 1) for i in profiles]
+    pairs += [((i, i), 2) for i in profiles
+              if band_lo <= i and 2 * i < k + s - 1]
+    if (k - l) % 2:
+        lo, hi = (k - l) // 2, -(-(k + s - 1) // 2)
+    else:
+        lo, hi = (k - l) // 2 - 1, (k + s - 1) // 2 + 1
+    while lo in profiles and hi in profiles:
+        pairs += [((lo, hi), 3), ((hi, lo), 3)]
+        lo, hi = lo - 1, hi + 1
+    typed_pairs = dict(pairs)
+    assert len(typed_pairs) == len(pairs)
+    assert set(typed_pairs) <= band_scan(params)
+    typed = tuple(TypedEdge(side1[i], side2[t], ty)
+                  for (i, t), ty in sorted(typed_pairs.items()))
+
+    mirror1, mirror2, other1, other2 = {}, {}, {}, {}
+    for e in typed:
+        at_left, at_right = ((mirror1, mirror2) if e.edge_type == 1
+                             else (other1, other2))
+        for ends, v, w in ((at_left, e.left, e.right),
+                           (at_right, e.right, e.left)):
+            assert v.i not in ends
+            ends[v.i] = (w, e.edge_type)
+    chains = []
+    for v in side1.values():
+        if v.i in other1:
+            continue
+        path, types = [v], []
+        while True:
+            w, _ = mirror1[v.i]
+            path.append(w)
+            types.append(1)
+            if w.i not in other2:
+                break
+            v, ty = other2[w.i]
+            path.append(v)
+            types.append(ty)
+        half = len(path) // 2
+        middle = (path[half - 1], path[half], types[half - 1])
+        chains.append((min(u.i for u in path[0::2]), tuple(path),
+                       tuple(types), middle))
+    assert sum(len(chain[1]) for chain in chains) == 2 * len(side1)
+    chains.sort(key=lambda chain: chain[0])
+    _, paths, edge_types, middles = zip(*chains)
+    return paths, edge_types, middles, typed
+
+
 class TestChainDecomposition:
     def test_9_4_2_single_balanced_path(self):
         dec = build_chain_decomposition(Params(9, 4, 2))
@@ -224,6 +283,19 @@ class TestChainDecomposition:
                 components.append(tuple(walk))
             assert dec.paths == tuple(components), params
 
+    def test_equals_reference_dict_walk(self):
+        # every triple of the benchmark's orbit-sweep grid with k <= 20
+        checked = 0
+        for k in range(3, 21):
+            for s in range(2, k):
+                for l in range(0, 31):
+                    params = Params(2 * k - s + 1 + l, k, s)
+                    dec = build_chain_decomposition(params)
+                    got = (dec.paths, dec.edge_types, dec.middles, dec.typed)
+                    assert got == reference_decomposition(params), params
+                    checked += 1
+        assert checked == 5301
+
     def test_second_offset_edge_raises(self, monkeypatch):
         # C_2^1 of (11, 6, 2) already has the offset edge C_2^1--C_4^2
         real = orbitgraph.classify_edges
@@ -286,8 +358,9 @@ class TestPathValidation:
     def test_reversed_weights_fail_monotonicity(self):
         path = (OrbitVertex(1, 3, 60), OrbitVertex(2, 2, 20),
                 OrbitVertex(1, 2, 20), OrbitVertex(2, 3, 60))
-        best = path_mwis([v.weight for v in path])
-        failures = _path_failures(path, (1, 2, 1), (path[1], path[2], 2), best)
+        weights = [v.weight for v in path]
+        failures = _path_failures(path, weights, (1, 2, 1),
+                                  (path[1], path[2], 2), path_mwis(weights))
         assert any("monotone" in f for f in failures)
         assert any("MWIS" in f for f in failures)
 
@@ -298,17 +371,32 @@ class TestPathValidation:
         (path,) = dec.paths
         swapped = (path[1], path[0], path[3], path[2])
         tampered = replace(dec, paths=(swapped,))
-        assert not validate_decomposition(tampered, g).passed
+        verdict = validate_decomposition(tampered, g)
+        assert not verdict.passed
+        assert verdict.witness == [
+            "C_3^1--C_3^2 is not a typed edge of type 2",
+            "stored middle edge does not sit at the path midpoint",
+            "weights not monotone toward the middle: [60, 20, 20, 60]",
+            "path MWIS 120 != half of total 160",
+            "sum of path MWIS values 120 != one side's weight 80"]
 
     def test_carried_typed_edges_are_checked(self):
         # validation reads the typed edges the decomposition carries, so
         # relabelling them must fail the paths that use them
         params = Params(9, 4, 2)
         dec = build_chain_decomposition(params)
-        relabelled = tuple(replace(e, edge_type=3) for e in dec.typed)
+        relabelled = tuple(e._replace(edge_type=3) for e in dec.typed)
         tampered = replace(dec, typed=relabelled)
         assert validate_decomposition(dec, build_orbit_graph(params)).passed
-        assert not validate_decomposition(tampered, tampered.graph).passed
+        verdict = validate_decomposition(tampered, tampered.graph)
+        assert not verdict.passed
+        assert verdict.witness == [
+            "typed edge C_2^1--C_2^2 does not have the form of type 3",
+            "typed edge C_2^1--C_3^2 does not have the form of type 3",
+            "typed edge C_3^1--C_2^2 does not have the form of type 3",
+            "C_3^1--C_2^2 is not a typed edge of type 1",
+            "C_2^2--C_2^1 is not a typed edge of type 2",
+            "C_2^1--C_3^2 is not a typed edge of type 1"]
 
     def test_carried_non_edge_fails(self):
         # (3, 3) is not an edge of (9, 4, 2); carry it as the type-2 edge
@@ -318,7 +406,7 @@ class TestPathValidation:
         g = dec.graph
         v2, v3 = g.side1
         w2, w3 = g.side2
-        typed = tuple(replace(e, left=v3, right=w3) if e.edge_type == 2 else e
+        typed = tuple(e._replace(left=v3, right=w3) if e.edge_type == 2 else e
                       for e in dec.typed)
         tampered = replace(dec, paths=((v2, w3, v3, w2),), typed=typed,
                            middles=((w3, v3, 2),))
@@ -326,6 +414,11 @@ class TestPathValidation:
         assert not verdict.passed
         assert "typed edge C_3^1--C_3^2 is not an edge of the graph" in \
             verdict.witness
+        assert verdict.witness == [
+            "typed edge C_3^1--C_3^2 is not an edge of the graph",
+            "weights not monotone toward the middle: [60, 20, 20, 60]",
+            "path MWIS 120 != half of total 160",
+            "sum of path MWIS values 120 != one side's weight 80"]
 
     def test_carried_type_must_match_its_form(self):
         # swap the labels of the equal-profile and offset edges of
@@ -335,7 +428,7 @@ class TestPathValidation:
         swap = {1: 1, 2: 3, 3: 2}
         tampered = replace(
             dec,
-            typed=tuple(replace(e, edge_type=swap[e.edge_type])
+            typed=tuple(e._replace(edge_type=swap[e.edge_type])
                         for e in dec.typed),
             edge_types=tuple(tuple(swap[ty] for ty in types)
                              for types in dec.edge_types),
@@ -345,6 +438,12 @@ class TestPathValidation:
         assert not verdict.passed
         assert "typed edge C_3^1--C_3^2 does not have the form of type 3" \
             in verdict.witness
+        assert verdict.witness == [
+            "typed edge C_2^1--C_4^2 does not have the form of type 2",
+            "typed edge C_3^1--C_3^2 does not have the form of type 3",
+            "typed edge C_4^1--C_2^2 does not have the form of type 2",
+            "middle edge C_3^2--C_3^1 has type 3 and is not a fixed-point "
+            "mirror edge"]
 
     def test_another_graph_fails(self):
         # (10, 4, 2) has the profiles and edges of (9, 4, 2), not its weights
@@ -352,6 +451,16 @@ class TestPathValidation:
         verdict = validate_decomposition(dec, build_orbit_graph(Params(10, 4, 2)))
         assert not verdict.passed
         assert "decomposition was built for another graph" in verdict.witness
+        assert verdict.witness == [
+            "decomposition was built for another graph",
+            "typed edge C_2^1--C_2^2 is not an edge of the graph",
+            "typed edge C_2^1--C_3^2 is not an edge of the graph",
+            "typed edge C_3^1--C_2^2 is not an edge of the graph",
+            "C_3^1 carries weight 20, expected 24",
+            "C_2^2 carries weight 60, expected 90",
+            "C_2^1 carries weight 60, expected 90",
+            "C_3^2 carries weight 20, expected 24",
+            "sum of path MWIS values 80 != one side's weight 114"]
 
     def test_vertex_outside_the_profiles_fails(self):
         # profile 7 is outside {2, 3}: a failing verdict, not a raise
@@ -362,25 +471,34 @@ class TestPathValidation:
         verdict = validate_decomposition(tampered, dec.graph)
         assert not verdict.passed
         assert "C_7^1 is not a vertex of the graph" in verdict.witness
+        assert verdict.witness == [
+            "paths do not partition the vertex set",
+            "C_7^1 is not a vertex of the graph",
+            "C_7^1--C_2^2 is not a typed edge of type 1"]
 
     def test_vertex_weight_off_by_one_fails(self):
         params = Params(9, 4, 2)
         dec = build_chain_decomposition(params)
         (path,) = dec.paths
-        heavier = replace(path[1], weight=path[1].weight + 1)
+        heavier = path[1]._replace(weight=path[1].weight + 1)
         tampered = replace(dec, paths=(path[:1] + (heavier,) + path[2:],))
         verdict = validate_decomposition(tampered, dec.graph)
         assert not verdict.passed
         assert (f"{heavier.name()} carries weight {heavier.weight}, "
                 f"expected {path[1].weight}") in verdict.witness
+        assert verdict.witness == [
+            "C_2^2 carries weight 61, expected 60",
+            "stored middle edge does not sit at the path midpoint",
+            "path MWIS 81 != half of total 161",
+            "sum of path MWIS values 81 != one side's weight 80"]
 
     def test_missing_edge_types_fail(self):
         params = Params(9, 4, 2)
         dec = build_chain_decomposition(params)
         verdict = validate_decomposition(replace(dec, edge_types=()), dec.graph)
         assert not verdict.passed
-        assert "1 paths, 0 edge type rows and 1 middles do not line up" in \
-            verdict.witness
+        assert verdict.witness == [
+            "1 paths, 0 edge type rows and 1 middles do not line up"]
 
     def test_missing_middles_with_reordered_path_fail(self):
         # C_3^1, C_2^1, C_2^2, C_3^2 puts two side-1 vertices in a row
@@ -391,8 +509,8 @@ class TestPathValidation:
         tampered = replace(dec, paths=((v3, v2, w2, w3),), middles=())
         verdict = validate_decomposition(tampered, dec.graph)
         assert not verdict.passed
-        assert "1 paths, 1 edge type rows and 0 middles do not line up" in \
-            verdict.witness
+        assert verdict.witness == [
+            "1 paths, 1 edge type rows and 0 middles do not line up"]
 
     def test_same_side_step_fails(self):
         params = Params(9, 4, 2)
@@ -402,7 +520,10 @@ class TestPathValidation:
         tampered = replace(dec, paths=((v3, v2, w2, w3),))
         verdict = validate_decomposition(tampered, dec.graph)
         assert not verdict.passed
-        assert "C_3^1--C_2^1 is not a typed edge of type 1" in verdict.witness
+        assert verdict.witness == [
+            "C_3^1--C_2^1 is not a typed edge of type 1",
+            "C_2^2--C_3^2 is not a typed edge of type 1",
+            "stored middle edge does not sit at the path midpoint"]
 
     def test_extra_empty_path_fails(self):
         params = Params(9, 4, 2)
@@ -410,14 +531,14 @@ class TestPathValidation:
         alone = replace(dec, paths=dec.paths + ((),))
         verdict = validate_decomposition(alone, dec.graph)
         assert not verdict.passed
-        assert "2 paths, 1 edge type rows and 1 middles do not line up" in \
-            verdict.witness
+        assert verdict.witness == [
+            "2 paths, 1 edge type rows and 1 middles do not line up"]
         lined_up = replace(dec, paths=dec.paths + ((),),
                            edge_types=dec.edge_types + ((),),
                            middles=dec.middles + (dec.middles[0],))
         verdict = validate_decomposition(lined_up, dec.graph)
         assert not verdict.passed
-        assert "path 1 has 0 vertices and 0 edge types" in verdict.witness
+        assert verdict.witness == ["path 1 has 0 vertices and 0 edge types"]
 
     def test_valid_decomposition_passes(self):
         params = Params(7, 3, 2)
