@@ -2,13 +2,15 @@
 
 Checks are registered by name; every check maps one parameter triple to
 a list of report records (pass / fail / skip).  Instances are
-independent, so a sweep can fan out over worker processes; records are
-sorted afterwards so output never depends on scheduling.
+independent, so a sweep can fan out over worker processes.  Records
+come out one triple at a time, in a fixed order that never depends on
+scheduling, so a caller can write them out as they arrive.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import __version__
 from .errors import ConfigError, EnumerationTooLarge
@@ -283,30 +285,45 @@ CHECKS = {
 
 
 def _run_instance(spec: SweepSpec, triple) -> list:
+    """One triple's records, sorted by (check, claim)."""
     n, k, s = triple
     params = Params(n, k, s)
     records = []
     for name in spec.checks:
         records.extend(CHECKS[name](params, spec))
+    records.sort(key=lambda r: (r["check"], r["claim"]))
     return records
+
+
+def iter_records(spec: SweepSpec):
+    """Yield the sweep's records in (n, k, s, check, claim) order, each
+    triple's as soon as that triple is done.
+
+    ``instances()`` is ascending and every record carries its triple, so
+    sorting within each triple gives the order of one global sort.
+    """
+    triples = spec.instances()
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            for records in pool.map(_run_instance, repeat(spec), triples):
+                yield from records
+    else:
+        for triple in triples:
+            yield from _run_instance(spec, triple)
+
+
+def report_meta(spec: SweepSpec) -> dict:
+    """The report fields that describe the sweep rather than its results."""
+    return {"tool": "crossint", "version": __version__,
+            "spec": spec.to_dict()}
 
 
 def run_sweep(spec: SweepSpec) -> ReportBundle:
     """Execute the sweep and return a deterministic report bundle."""
     start = time.perf_counter()
-    triples = spec.instances()
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            chunks = pool.map(_run_instance, [spec] * len(triples), triples)
-            records = [rec for chunk in chunks for rec in chunk]
-    else:
-        records = [rec for triple in triples
-                   for rec in _run_instance(spec, triple)]
-    records.sort(key=lambda r: (r["n"], r["k"], r["s"], r["check"], r["claim"]))
+    records = list(iter_records(spec))
     return ReportBundle(
-        tool="crossint",
-        version=__version__,
-        spec=spec.to_dict(),
+        **report_meta(spec),
         records=records,
         runtime_millis=(time.perf_counter() - start) * 1000.0,
     )

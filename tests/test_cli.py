@@ -1,7 +1,13 @@
 import json
+import re
+import tracemalloc
 
-from crossint import cli
+import pytest
+
+from crossint import (CrossIntError, Params, cli, emit_report, run_sweep,
+                      skip_record, sweep)
 from crossint.cli import main
+from crossint.sweep import iter_records
 
 from conftest import break_chain_decompositions
 
@@ -74,6 +80,129 @@ class TestSweepCommands:
         assert code == 0
         assert out.read_text().splitlines()[0].startswith("n,k,s")
         assert "1 pass" in capsys.readouterr().out
+
+
+def untimed(text, fmt):
+    """A report's text with its timing fields blanked: ``millis`` and
+    ``runtime_millis`` in JSON, the last (millis) column in CSV."""
+    if fmt == "json":
+        return re.sub(r'"(runtime_)?millis": [-+.0-9e]+', r'"\1millis": T',
+                      text)
+    return "\n".join(line.rpartition(",")[0] for line in text.split("\n"))
+
+
+def strip_millis(records):
+    return [{**rec, "millis": None} for rec in records]
+
+
+class TestStreamedReport:
+    """The CLI streams records through a spool; its report must equal the
+    one rendered from a whole bundle, apart from timing fields."""
+
+    GRIDS = {
+        # deliberately unsorted checks, skips (hm at s >= 2) and --strict
+        "mixed": ["verify", "--checks", "hm,chains,lemma2,biregular,theorem",
+                  "--k-range", "4:5", "--s-range", "2:3", "--l-range", "0:1",
+                  "--strict"],
+        "n-range": ["check-edges", "--k-range", "3:4", "--s-range", "1:2",
+                    "--n-range", "6:8"],
+        "jobs": ["check-chains", "--k-range", "3:5", "--s", "2",
+                 "--l-range", "0:1", "--jobs", "2"],
+        "empty": ["verify", "--k", "3", "--s", "3", "--l", "0"],
+    }
+
+    @staticmethod
+    def spec(argv):
+        return cli._spec_from_args(cli.build_parser().parse_args(argv))
+
+    @pytest.fixture(params=["memory", "file"])
+    def spool(self, request, monkeypatch):
+        """Keep the spool in memory (every grid here writes less than its
+        limit) or move it to a file at the first byte."""
+        if request.param == "file":
+            monkeypatch.setattr(cli, "_SPOOL_MEMORY_BYTES", 1)
+        return request.param
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_equals_bundle_report(self, grid, fmt, spool, tmp_path, capsys):
+        argv = self.GRIDS[grid] + ["--format", fmt]
+        bundle = run_sweep(self.spec(argv))
+        want = untimed(emit_report(bundle, fmt), fmt)
+        summary = bundle.summary
+        want_code = (1 if summary["fail"] else
+                     2 if "--strict" in argv and summary["skip"] else 0)
+
+        assert main(argv) == want_code
+        assert untimed(capsys.readouterr().out, fmt) == want
+
+        out = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--out", str(out)]) == want_code
+        assert untimed(out.read_text(encoding="utf-8"), fmt) == want
+        assert capsys.readouterr().out == (
+            f"{summary['pass']} pass, {summary['fail']} fail, "
+            f"{summary['skip']} skipped -> {out}\n")
+        if grid == "empty":
+            assert want.endswith({
+                "json": '"records": [\n], "runtime_millis": T}\n',
+                "csv": "oracle_value,verdict\n"}[fmt])
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_records_in_global_order(self, grid):
+        spec = self.spec(self.GRIDS[grid])
+        # the order of one sort over every record of the sweep
+        reference = sorted(
+            (rec for n, k, s in spec.instances() for name in spec.checks
+             for rec in sweep.CHECKS[name](Params(n, k, s), spec)),
+            key=lambda r: (r["n"], r["k"], r["s"], r["check"], r["claim"]))
+        assert strip_millis(iter_records(spec)) == strip_millis(reference)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_sweep_leaves_out_untouched(self, fmt, spool, tmp_path,
+                                              capsys, monkeypatch):
+        calls = []
+
+        def fails_on_third_triple(params, spec):
+            calls.append(params)
+            if len(calls) == 3:
+                raise CrossIntError("injected failure")
+            return [skip_record(params, "hm", "written before the failure")]
+
+        monkeypatch.setitem(sweep.CHECKS, "hm", fails_on_third_triple)
+        argv = ["verify", "--checks", "hm", "--k-range", "3:6", "--s", "1",
+                "--l", "0", "--format", fmt]
+        out = tmp_path / "report.out"
+        previous = b"an earlier report\r\n\x00"
+        out.write_bytes(previous)
+        assert main(argv + ["--out", str(out)]) == 2
+        assert len(calls) == 3
+        assert out.read_bytes() == previous
+        # the unnamed spool left nothing behind in the report's directory
+        assert [p.name for p in tmp_path.iterdir()] == ["report.out"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "injected failure" in captured.err
+
+        calls.clear()
+        assert main(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_memory_flat_in_the_grid(self, tmp_path, capsys):
+        # 990 records.  Streamed, the call peaks at about 0.28 MB; holding
+        # every record until the sweep ends took 0.57 MB, and holding the
+        # rendered report as well 1.1 MB.
+        argv = ["check-lemmas", "--k-range", "3:12", "--s-range", "2:11",
+                "--l-range", "0:5", "--cap", "1",
+                "--out", str(tmp_path / "lemmas.json")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "990 pass" in capsys.readouterr().out
+        assert peak < 450_000
 
 
 class TestMisG:

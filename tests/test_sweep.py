@@ -10,6 +10,7 @@ from crossint import (ConfigError, LemmaReport, Params, ReportBundle,
                       SweepSpec, binom, emit_report, orbitgraph, run_sweep,
                       sweep)
 from crossint.cli import main
+from crossint.report import CSV_COLUMNS
 
 from conftest import break_chain_decompositions
 
@@ -253,6 +254,30 @@ class TestEmitReport:
         records = json.loads(json.dumps(bundle.records, default=str))
         for line, rec in zip(lines[1:-1], records):
             assert json.loads(line.removesuffix(",")) == rec
+
+    @pytest.mark.parametrize("records", ["mixed", "none"])
+    def test_layout_equals_whole_document_reference(self, records):
+        # The streamed layout against rendering the whole document at once.
+        bundle = self.mixed_bundle()
+        if records == "none":
+            bundle.records = []
+        encode = json.JSONEncoder(default=str).encode
+        header = encode({"tool": bundle.tool, "version": bundle.version,
+                         "spec": bundle.spec, "summary": bundle.summary})
+        lines = [header[:-1] + ', "records": [']
+        if bundle.records:
+            lines.append(",\n".join(map(encode, bundle.records)))
+        lines += [f'], "runtime_millis": {encode(bundle.runtime_millis)}}}', ""]
+        assert bundle.to_json() == "\n".join(lines)
+
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([rec["n"], rec["k"], rec["s"], rec["l"], rec["check"],
+                          rec["formula_value"], rec["oracle_value"],
+                          rec["status"], rec["millis"]]
+                         for rec in bundle.records)
+        assert bundle.to_csv() == buf.getvalue()
 
     def test_stdout_report_equals_file_report(self, tmp_path, capsys):
         argv = ["check-lemmas", "--k", "4", "--s", "2", "--l", "0"]
