@@ -18,6 +18,8 @@ residual cut.  Both give the same cover the flow would.
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import compress
+from operator import gt
 
 from .errors import FlowCertificateError, NotACover, NotAFractionalIndependentSet
 
@@ -341,18 +343,14 @@ def _earliest_deadline_flow(weights1, weights2, intervals):
     the side-1 and side-2 vertices reachable from the source in the final
     residual network.
     """
-    num1, num2 = len(weights1), len(weights2)
     supply = list(weights1)
-    by_lo = sorted(range(num1), key=lambda a: intervals[a][0])
-    active, nxt = [], 0  # heap of (right end, a) with lo <= current b
-    flow, senders = [], [[] for _ in range(num2)]
-    for b in range(num2):
-        while nxt < num1 and intervals[by_lo[nxt]][0] <= b:
-            a = by_lo[nxt]
-            nxt += 1
-            if supply[a]:
-                heappush(active, (intervals[a][1], a))
-        room = weights2[b]
+    starts = sorted([(lo, hi, a) for a, (lo, hi) in enumerate(intervals)],
+                    reverse=True)  # popped by ascending left end
+    active, flow = [], []  # heap of (right end, a) with lo <= b
+    for b, room in enumerate(weights2):
+        while starts and starts[-1][0] <= b:
+            _, hi, a = starts.pop()
+            heappush(active, (hi, a))
         while room and active:
             hi, a = active[0]
             if hi < b:
@@ -360,7 +358,6 @@ def _earliest_deadline_flow(weights1, weights2, intervals):
                 continue
             sent = min(room, supply[a])
             flow.append((a, b, sent))
-            senders[b].append(a)
             room -= sent
             supply[a] -= sent
             if not supply[a]:
@@ -368,9 +365,13 @@ def _earliest_deadline_flow(weights1, weights2, intervals):
 
     # Residual arcs: source -> a while a has supply left, a -> b on every
     # edge, and b -> a back along each arc that carries flow.
-    reached1 = [x > 0 for x in supply]
-    reached2 = [False] * num2
-    queue = [a for a in range(num1) if reached1[a]]
+    reached1 = list(map(bool, supply))
+    reached2 = [False] * len(weights2)
+    queue = list(compress(range(len(supply)), reached1))
+    if queue:
+        senders = [[] for _ in weights2]
+        for a, b, _ in flow:
+            senders[b].append(a)
     for a in queue:  # the loop also visits vertices appended below
         lo, hi = intervals[a]
         for b in range(lo, hi + 1):
@@ -402,10 +403,11 @@ def interval_independent_set(weights1, weights2, intervals):
     num1, num2 = len(weights1), len(weights2)
     if len(intervals) != num1:
         raise ValueError("need one interval per side-1 vertex")
-    if any(w <= 0 for w in weights1) or any(w <= 0 for w in weights2):
+    if min(weights1, default=1) <= 0 or min(weights2, default=1) <= 0:
         raise ValueError("weights must be positive")
-    if any(lo <= hi and not 0 <= lo <= hi < num2 for lo, hi in intervals):
-        raise ValueError(f"an interval leaves the side-2 indices 0..{num2 - 1}")
+    for lo, hi in intervals:
+        if lo <= hi and not 0 <= lo <= hi < num2:
+            raise ValueError(f"an interval leaves the side-2 indices 0..{num2 - 1}")
     flow, reached1, reached2 = _earliest_deadline_flow(weights1, weights2,
                                                        intervals)
     out, into = [0] * num1, [0] * num2
@@ -416,16 +418,15 @@ def interval_independent_set(weights1, weights2, intervals):
                                        f"graph edge with positive flow")
         out[a] += sent
         into[b] += sent
-    if any(x > w for x, w in zip(out, weights1)) or \
-            any(x > w for x, w in zip(into, weights2)):
+    if any(map(gt, out, weights1)) or any(map(gt, into, weights2)):
         raise FlowCertificateError("flow exceeds a vertex weight")
-    for a, (lo, hi) in enumerate(intervals):
-        if reached1[a] and lo <= hi and not all(reached2[lo:hi + 1]):
+    for a, (lo, hi) in compress(enumerate(intervals), reached1):
+        if lo <= hi and not all(reached2[lo:hi + 1]):
             raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
                                        f"left uncovered")
     value = sum(out)
-    cover = (sum(w for w, r in zip(weights1, reached1) if not r)
-             + sum(w for w, r in zip(weights2, reached2) if r))
+    cover = (sum(weights1) - sum(compress(weights1, reached1))
+             + sum(compress(weights2, reached2)))
     if cover != value:
         raise FlowCertificateError(f"cover weight {cover} differs from "
                                    f"flow {value}")

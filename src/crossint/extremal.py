@@ -23,10 +23,13 @@ So below the midpoint w(i)/w(j) > 1 at l = 0 and grows with l; above
 it w(j)/w(i) does the same; at the midpoint i = j.  At s = 1 step 1
 fails: i-s+1 = i, every mirror pair ties at l = 0, and the law as
 stated does not hold there.  Tests pin each step in cross-multiplied
-integers.  Both laws read ``orbit_weights``: w(s..k) by the exact
-recurrence w(i+1) = w(i) (k-i)^2 / ((i+1)(n-2k+i+1)), where a division
+integers.  Both laws and the orbit graph slice one row w(0..k) per (n, k),
+built by the recurrence w(i+1) = w(i) (k-i)^2 / ((i+1)(n-2k+i+1)); a division
 with a remainder raises ArithmeticError (not an assert: python -O keeps it).
 """
+
+from functools import lru_cache
+from math import comb
 
 from .errors import IndexNotMeaningful, ParamsOutOfRange
 from .report import LemmaReport
@@ -34,9 +37,9 @@ from .sets import DEFAULT_ENUMERATION_CAP, Family, Params, binom, enumerate_ksub
 
 
 def size_extremal_family(params: Params) -> int:
-    """Closed-form size: sum of orbit weights over profiles s..k."""
+    """Closed-form size: sum of C(k,i) C(n-k,k-i) over profiles s..k."""
     n, k, s = params.n, params.k, params.s
-    return sum(binom(k, i) * binom(n - k, k - i) for i in range(s, k + 1))
+    return sum(comb(k, i) * comb(n - k, k - i) for i in range(s, k + 1))
 
 
 def build_extremal_family(params: Params,
@@ -57,20 +60,25 @@ def orbit_weight(i: int, params: Params) -> int:
     return binom(k, i) * binom(n - k, k - i)
 
 
-def orbit_weights(params: Params) -> list:
-    """[w(s), ..., w(k)] by the exact recurrence, from the first profile
+@lru_cache(maxsize=1)  # sweeps run in (n, k, s) order: one live row
+def _weight_row(n: int, k: int) -> tuple:
+    """(w(0), ..., w(k)) by the exact recurrence, from the first profile
     with sets (i >= 2k-n, so n-2k+i+1 >= 1); earlier ones weigh 0."""
-    n, k, s = params.n, params.k, params.s
-    first = max(s, 2 * k - n)
+    first = max(0, 2 * k - n)
     w = binom(k, first) * binom(n - k, k - first)
-    weights = [0] * (first - s) + [w]
+    row = [0] * first + [w]
     for i in range(first, k):
         w, rest = divmod(w * (k - i) * (k - i), (i + 1) * (n - 2 * k + i + 1))
         if rest:
             raise ArithmeticError(f"orbit weight recurrence left remainder "
-                                  f"{rest} at profile {i + 1} for {params}")
-        weights.append(w)
-    return weights
+                                  f"{rest} at profile {i + 1} for n={n}, k={k}")
+        row.append(w)
+    return tuple(row)
+
+
+def orbit_weights(params: Params) -> list:
+    """[w(s), ..., w(k)], sliced from the weight row of (n, k)."""
+    return list(_weight_row(params.n, params.k)[params.s:])
 
 
 def min_pair_intersection(i: int, t: int, params: Params) -> int:

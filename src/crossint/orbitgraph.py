@@ -6,11 +6,11 @@ some pair of sets with those profiles intersects in fewer than s
 elements, which happens iff k-l <= i+t <= k+s-1.  So the side-2
 neighbours of profile i form the interval
 [max(s, k-l-i), min(k-1, k+s-1-i)], and the graph is stored as that
-interval per profile beside one weight list w(s..k-1); the edge set and
-the OrbitVertex records of ``side1``/``side2`` are derived when read, so
-the lemma1 certificate builds none.  Both ends are non-increasing in i,
-so the graph is a bipartite permutation graph, and its maximum-weight
-independent set is read off a greedy flow (``interval_independent_set``).
+interval per profile beside its slice w(s..k-1) of the (n, k) weight row;
+the edge set is derived when read, and ``side1``/``side2`` are slices of
+OrbitVertex rows built once per (n, k).  Both ends are non-increasing in
+i, so the graph is a bipartite permutation graph, and the lemma1 check
+solves it on weights and intervals (``interval_independent_set``).
 
 Three families of edges are singled out: profile-mirroring edges
 (i, k+s-1-i) of type 1, equal-profile edges (i, i) of type 2 inside the
@@ -21,21 +21,21 @@ taken in both orientations while both profiles stay in {s..k-1}:
 a = floor((k-l)/2) has no equal-profile edge (2a < k-l) and would
 otherwise keep only its mirror edge.  Each vertex then has one mirror
 edge and at most one other typed edge, so the typed subgraph is a union
-of even paths that alternate the two kinds, read off the edges from
-their side-1 ends; whether every path carries an equal-weight middle
-edge is exactly what validate_decomposition checks.
+of even paths that alternate the two kinds, walked through per-profile
+index arrays from their side-1 ends; whether every path carries an
+equal-weight middle edge is exactly what validate_decomposition checks.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations, count, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .bipartite import WeightedBipartiteGraph, interval_independent_set
+from .bipartite import WeightedBipartiteGraph
 from .errors import (DecompositionViolation, EnumerationTooLarge,
                      IndexNotMeaningful, ParamsOutOfRange, TypedEdgeNotInW)
-from .extremal import min_pair_intersection, orbit_weight, orbit_weights
+from .extremal import _weight_row, min_pair_intersection, orbit_weight
 from .oracle import _conflict_rows
 from .report import Verdict
 from .sets import Params
@@ -56,11 +56,11 @@ class OrbitGraph:
     weights: tuple    # w(i) for profiles i = s..k-1, the same on both sides
     intervals: tuple  # (lo, hi): side-2 neighbours of each side-1 profile
 
-    # OrbitVertex per profile, ascending; built on first read
-    side1 = cached_property(lambda self: tuple(map(
-        OrbitVertex, repeat(1), count(self.params.s), self.weights)))
-    side2 = cached_property(lambda self: tuple(map(
-        OrbitVertex, repeat(2), count(self.params.s), self.weights)))
+    # OrbitVertex per profile, ascending: sliced from the (n, k) rows
+    side1 = cached_property(lambda self: _vertex_rows(
+        self.params.n, self.params.k)[0][self.params.s:])
+    side2 = cached_property(lambda self: _vertex_rows(
+        self.params.n, self.params.k)[1][self.params.s:])
 
     def profiles(self):
         return tuple(range(self.params.s, self.params.s + len(self.weights)))
@@ -82,9 +82,6 @@ class OrbitGraph:
         """The edge set, derived from the intervals on each access."""
         return frozenset(self._edge_list())
 
-    def one_side_weight(self) -> int:
-        return sum(self.weights)
-
     def as_bipartite(self) -> WeightedBipartiteGraph:
         """The same graph with vertices labelled (side, profile)."""
         s = self.params.s
@@ -93,17 +90,12 @@ class OrbitGraph:
             tuple(((2, i), w) for i, w in enumerate(self.weights, s)),
             tuple(((1, i), (2, t)) for i, t in self._edge_list()))
 
-    def max_weight_independent_set(self):
-        """(chosen, weight) as max_weight_independent_set(as_bipartite())
-        returns it, with chosen vertices labelled (side, profile), solved
-        on the intervals by the earliest-deadline greedy flow."""
-        s = self.params.s
-        weight, chosen1, chosen2 = interval_independent_set(
-            self.weights, self.weights,
-            [(lo - s, hi - s) for lo, hi in self.intervals])
-        chosen = frozenset([(1, a + s) for a in chosen1]
-                           + [(2, b + s) for b in chosen2])
-        return chosen, weight
+
+@lru_cache(maxsize=1)  # sweeps run in (n, k, s) order: one live (n, k)
+def _vertex_rows(n: int, k: int) -> tuple:
+    """OrbitVertex records of profiles 0..k-1, one row per side."""
+    return tuple(tuple(map(OrbitVertex, repeat(side), range(k),
+                           _weight_row(n, k))) for side in (1, 2))
 
 
 def _require_graph_params(params: Params):
@@ -125,8 +117,7 @@ def build_orbit_graph(params: Params) -> OrbitGraph:
         if lo > hi:
             raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
         intervals.append((lo, hi))
-    return OrbitGraph(params, tuple(orbit_weights(params)[:-1]),
-                      tuple(intervals))
+    return OrbitGraph(params, _weight_row(params.n, k)[s:k], tuple(intervals))
 
 
 class TypedEdge(NamedTuple):
@@ -145,29 +136,28 @@ def classify_edges(graph: OrbitGraph):
     """
     params = graph.params
     k, s, l = params.k, params.s, params.l
-    profiles = range(s, k)
-
-    band_lo = -(-(k - l) // 2)  # ceil((k-l)/2)
-    pairs = [((i, k + s - 1 - i), 1) for i in profiles]
-    pairs += [((i, i), 2) for i in profiles
-              if band_lo <= i and 2 * i < k + s - 1]
+    profiles, mirror = range(s, k), k + s - 1
+    band = range(max(s, -(-(k - l) // 2)), (mirror + 1) // 2)  # 2i < k+s-1
     if (k - l) % 2:
         # profile floor((k-l)/2) has no equal-profile edge; anchor there
-        lo, hi = (k - l) // 2, -(-(k + s - 1) // 2)
+        low, high = (k - l) // 2, -(-mirror // 2)
     else:
-        lo, hi = (k - l) // 2 - 1, (k + s - 1) // 2 + 1
-    while lo in profiles and hi in profiles:
-        pairs += [((lo, hi), 3), ((hi, lo), 3)]
-        lo, hi = lo - 1, hi + 1
-    typed = dict(pairs)
-    if len(typed) != len(pairs):
+        low, high = (k - l) // 2 - 1, mirror // 2 + 1
+    # offsets d = 0..reach keep low-d and high+d in {s..k-1}; each pair is
+    # typed in both orientations, so the low and high ends mirror each other
+    reach = min(low - s, k - 1 - high)
+    lows, highs = range(low - reach, low + 1), range(high, high + reach + 1)
+    lefts = [*profiles, *band, *lows, *highs]
+    rights = [*profiles[::-1], *band, *highs[::-1], *lows[::-1]]
+    if len(set(zip(lefts, rights))) != len(lefts):
         raise DecompositionViolation(
             f"typed edge families overlap for params {params}")
 
-    side1, side2 = graph.side1, graph.side2
+    types = [1] * len(profiles) + [2] * len(band) + [3] * (2 * len(lows))
+    side1, side2, intervals = graph.side1, graph.side2, graph.intervals
     out = []
-    for (i, t), ty in sorted(typed.items()):
-        lo, hi = graph.intervals[i - s]
+    for i, t, ty in sorted(zip(lefts, rights, types)):
+        lo, hi = intervals[i - s]
         if not lo <= t <= hi:
             raise TypedEdgeNotInW(
                 f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
@@ -226,26 +216,24 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
             raise DecompositionViolation(
                 f"vertex {v.name()} has no mirror edge", offending=v)
 
-    chains = []
-    for v, e in zip(side1, other1):
-        if e is not None:
+    chains, covered = [], 0
+    for e, other in zip(mirror1, other1):  # paths start where other1 is None
+        if other is not None:
             continue
-        path, types = [v], []
+        path, types = [], []
         while True:
-            w = mirror1[v.i - s].right
-            path.append(w)
+            path += e[:2]
             types.append(1)
-            e = other2[w.i - s]
+            e = other2[e.right.i - s]
             if e is None:
                 break
-            v = e.left
-            path.append(v)
             types.append(e.edge_type)
+            e = mirror1[e.left.i - s]
         half = len(path) // 2
-        middle = (path[half - 1], path[half], types[half - 1])
-        chains.append((min(u.i for u in path[0::2]), tuple(path),
-                       tuple(types), middle))
-    if sum(len(c[1]) for c in chains) != 2 * m:
+        covered += len(path)
+        chains.append((min(path[0::2]), tuple(path), tuple(types),
+                       (path[half - 1], path[half], types[half - 1])))
+    if covered != 2 * m:
         on_path = {u for _, path, _, _ in chains for u in path}
         left_out = [u for u in side1 + side2 if u not in on_path]
         raise DecompositionViolation(
@@ -381,7 +369,7 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
         failures.extend(_path_failures(path, weights, edge_types,
                                        dec.middles[p], best))
 
-    side_weight = graph.one_side_weight()
+    side_weight = sum(graph.weights)
     if mwis_total != side_weight:
         failures.append(f"sum of path MWIS values {mwis_total} != one side's "
                         f"weight {side_weight}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 from itertools import combinations
 
-from .errors import GroundMismatch
+from .errors import GroundMismatch, ParamsOutOfRange
 
 #: Hard ceiling for raw subset enumeration; oracles layer their own,
 #: tighter caps on top of this one.
@@ -152,7 +152,6 @@ class Params:
     s: int
 
     def __post_init__(self):
-        from .errors import ParamsOutOfRange
         if not self.s >= 1:
             raise ParamsOutOfRange(f"need s >= 1, got s={self.s}")
         if not self.k > self.s:

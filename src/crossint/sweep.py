@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from . import __version__
+from .bipartite import interval_independent_set
 from .errors import ConfigError, EnumerationTooLarge
 from .extremal import (check_mirror_weight_ordering, check_offset_weight_ordering,
                        min_pair_intersection, size_extremal_family)
@@ -131,7 +132,9 @@ def _check_lemma1(params: Params, spec: SweepSpec):
                             "inapplicable: needs s >= 2 and slack l >= 0")]
     records = []
     start = time.perf_counter()
-    _, weight = build_orbit_graph(params).max_weight_independent_set()
+    graph, s = build_orbit_graph(params), params.s
+    weight = interval_independent_set(graph.weights, graph.weights, [
+        (lo - s, hi - s) for lo, hi in graph.intervals])[0]
     want = size_extremal_family(params) - 1
     records.append(_timed(Verdict(
         claim="lemma1.orbit-certificate",

@@ -51,6 +51,14 @@ def random_bipartite(rng: random.Random, max_vertices=20, max_weight=100):
     return side1, side2, edges
 
 
+def pinned_grid(s_min=2, l_min=0):
+    """The k 3:16 x s 2:15 x l 0:16 triples on which the index-array
+    orbit layer is pinned to the construction it replaced; a lower s_min
+    or l_min adds triples that the orbit graph rejects."""
+    return [Params(2 * k - s + 1 + l, k, s) for k in range(3, 17)
+            for s in range(s_min, min(k, 16)) for l in range(l_min, 17)]
+
+
 def small_graph_params(k_max=12, l_max=8):
     """Valid parameter triples with s >= 2 for orbit-graph sweeps."""
     out = []

@@ -1,5 +1,6 @@
 from itertools import combinations
 from math import comb
+from operator import attrgetter
 
 import pytest
 
@@ -10,6 +11,8 @@ from crossint import (IndexNotMeaningful, LemmaReport, Params,
                       check_offset_weight_ordering, extremal_pair,
                       is_s_cross_intersecting, min_pair_intersection,
                       orbit_weight, orbit_weights, size_extremal_family)
+
+from conftest import pinned_grid
 
 
 def orbit_masks(params, profile):
@@ -90,7 +93,32 @@ class TestOrbitWeights:
             assert orbit_weight(i, params) == len(orbit_masks(params, i))
 
 
+def reference_orbit_weights(params):
+    """w(s..k) as computed before the weight row per (n, k): the exact
+    recurrence run for each triple, from profile max(s, 2k-n)."""
+    n, k, s = params.n, params.k, params.s
+    first = max(s, 2 * k - n)
+    w = binom(k, first) * binom(n - k, k - first)
+    weights = [0] * (first - s) + [w]
+    for i in range(first, k):
+        w, rest = divmod(w * (k - i) * (k - i), (i + 1) * (n - 2 * k + i + 1))
+        if rest:
+            raise ArithmeticError(f"orbit weight recurrence left remainder "
+                                  f"{rest} at profile {i + 1} for {params}")
+        weights.append(w)
+    return weights
+
+
 class TestOrbitWeightList:
+    def test_equals_previous_recurrence(self):
+        # l down to -2 reaches n < 2k-s-1, where the lowest profiles of a
+        # triple have no sets; the row starts below them
+        grid = pinned_grid(s_min=1, l_min=-2)
+        for params in grid + sorted(grid, key=attrgetter("n", "k", "s")):
+            assert orbit_weights(params) == reference_orbit_weights(params), \
+                params
+        assert extremal._weight_row.cache_info().maxsize == 1
+
     def test_equals_closed_form_on_criterion_7_range(self):
         # every triple of criterion 7 (k <= 60, l <= 60)
         for k in range(3, 61):
@@ -112,11 +140,19 @@ class TestOrbitWeightList:
                         [orbit_weight(i, params) for i in range(s, k + 1)]
 
     def test_inexact_division_raises(self, monkeypatch):
-        # a wrong first weight, 1 for (9, 4, 2), leaves 4 / 12 at profile 3;
-        # the error is raised, not asserted, so python -O keeps it
+        # a wrong first weight, 1 at profile 0 of the (9, 4) row, runs
+        # 1, 8, 12, 4 and then leaves 4 / 20 at profile 4; the error is
+        # raised, not asserted, so python -O keeps it.  The row cache is
+        # cleared on both sides of the patch: a cached (9, 4) row would
+        # hide the remainder, and a patched row must not outlive the test
+        extremal._weight_row.cache_clear()
         monkeypatch.setattr(extremal, "binom", lambda a, b: 1)
-        with pytest.raises(ArithmeticError, match="remainder 4 at profile 3"):
-            orbit_weights(Params(9, 4, 2))
+        try:
+            with pytest.raises(ArithmeticError,
+                               match="remainder 4 at profile 4 for n=9, k=4"):
+                orbit_weights(Params(9, 4, 2))
+        finally:
+            extremal._weight_row.cache_clear()
 
 
 class TestMinPairIntersection:

@@ -1,20 +1,25 @@
 from dataclasses import replace
+from itertools import chain
+from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import crossint.orbitgraph as orbitgraph
-from crossint import (DecompositionViolation, EnumerationTooLarge,
-                      IndexNotMeaningful, OrbitVertex, Params,
-                      ParamsOutOfRange, TypedEdge, build_chain_decomposition,
+from crossint import (CrossIntError, DecompositionViolation,
+                      EnumerationTooLarge, IndexNotMeaningful, OrbitVertex,
+                      Params, ParamsOutOfRange, TypedEdge, TypedEdgeNotInW,
+                      build_chain_decomposition,
                       build_orbit_graph, check_biregularity, classify_edges,
                       decomposition_to_dot, graph_to_dot,
                       min_pair_intersection, orbit_weight, path_mwis,
                       size_extremal_family, validate_decomposition)
 from crossint.orbitgraph import _path_failures
+from crossint.report import Verdict
 
-from conftest import small_graph_params
+from conftest import pinned_grid, small_graph_params
 
 
 def typed_pairs(graph, edge_type):
@@ -214,6 +219,251 @@ def reference_decomposition(params):
     chains.sort(key=lambda chain: chain[0])
     _, paths, edge_types, middles = zip(*chains)
     return paths, edge_types, middles, typed
+
+
+def reference_graph(params):
+    """The orbit graph's fields as built before the (n, k) rows: weights
+    and vertices from orbit_weight, intervals profile by profile, and the
+    same parameter checks."""
+    k, s, l = params.k, params.s, params.l
+    if s < 2 or l < 0:
+        raise ParamsOutOfRange("orbit graph needs s >= 2 and l >= 0")
+    profiles = range(s, k)
+    weights = tuple(orbit_weight(i, params) for i in profiles)
+    return SimpleNamespace(
+        params=params, weights=weights,
+        intervals=tuple((max(s, k - l - i), k + s - 1 - i) for i in profiles),
+        side1=tuple(OrbitVertex(1, i, w) for i, w in zip(profiles, weights)),
+        side2=tuple(OrbitVertex(2, i, w) for i, w in zip(profiles, weights)))
+
+
+def reference_classify_edges(graph):
+    """classify_edges as written before its families became aligned
+    index ranges: a dict of (profile, profile) pairs, sorted."""
+    params = graph.params
+    k, s, l = params.k, params.s, params.l
+    profiles = range(s, k)
+
+    band_lo = -(-(k - l) // 2)  # ceil((k-l)/2)
+    pairs = [((i, k + s - 1 - i), 1) for i in profiles]
+    pairs += [((i, i), 2) for i in profiles
+              if band_lo <= i and 2 * i < k + s - 1]
+    if (k - l) % 2:
+        # profile floor((k-l)/2) has no equal-profile edge; anchor there
+        lo, hi = (k - l) // 2, -(-(k + s - 1) // 2)
+    else:
+        lo, hi = (k - l) // 2 - 1, (k + s - 1) // 2 + 1
+    while lo in profiles and hi in profiles:
+        pairs += [((lo, hi), 3), ((hi, lo), 3)]
+        lo, hi = lo - 1, hi + 1
+    typed = dict(pairs)
+    if len(typed) != len(pairs):
+        raise DecompositionViolation(
+            f"typed edge families overlap for params {params}")
+
+    side1, side2 = graph.side1, graph.side2
+    out = []
+    for (i, t), ty in sorted(typed.items()):
+        lo, hi = graph.intervals[i - s]
+        if not lo <= t <= hi:
+            raise TypedEdgeNotInW(
+                f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
+                f"for params {params}")
+        out.append(TypedEdge(side1[i - s], side2[t - s], ty))
+    return out
+
+
+def reference_chains(params):
+    """(paths, edge_types, middles, typed) by the chain walk as written
+    before it read per-profile index arrays, on reference_graph."""
+    graph = reference_graph(params)
+    typed = tuple(reference_classify_edges(graph))
+    s, side1, side2, m = params.s, graph.side1, graph.side2, len(graph.weights)
+
+    # each vertex's mirror and type-2/3 edge, by side and profile - s
+    mirror1, mirror2, other1, other2 = ([None] * m for _ in range(4))
+    for e in typed:
+        a, b = e.left.i - s, e.right.i - s
+        at1, at2 = (mirror1, mirror2) if e.edge_type == 1 else (other1, other2)
+        if at1[a] is not None or at2[b] is not None:
+            v = e.left if at1[a] is not None else e.right
+            raise DecompositionViolation(
+                f"vertex {v.name()} has two typed edges of one kind",
+                offending=v)
+        at1[a] = at2[b] = e
+    for side, at in ((side1, mirror1), (side2, mirror2)):
+        if None in at:
+            v = side[at.index(None)]
+            raise DecompositionViolation(
+                f"vertex {v.name()} has no mirror edge", offending=v)
+
+    chains = []
+    for v, e in zip(side1, other1):
+        if e is not None:
+            continue
+        path, types = [v], []
+        while True:
+            w = mirror1[v.i - s].right
+            path.append(w)
+            types.append(1)
+            e = other2[w.i - s]
+            if e is None:
+                break
+            v = e.left
+            path.append(v)
+            types.append(e.edge_type)
+        half = len(path) // 2
+        middle = (path[half - 1], path[half], types[half - 1])
+        chains.append((min(u.i for u in path[0::2]), tuple(path),
+                       tuple(types), middle))
+    if sum(len(c[1]) for c in chains) != 2 * m:
+        on_path = {u for _, path, _, _ in chains for u in path}
+        left_out = [u for u in side1 + side2 if u not in on_path]
+        raise DecompositionViolation(
+            f"vertices {[u.name() for u in left_out]} lie on no path",
+            offending=left_out)
+
+    chains.sort(key=itemgetter(0))
+    _, paths, edge_types, middles = zip(*chains)
+    return paths, edge_types, middles, typed
+
+
+def reference_typed_edge_failures(typed, graph):
+    """_typed_edge_failures as written before the rewrite."""
+    s, mirror = graph.params.s, graph.params.k + graph.params.s - 1
+    failures, types, intervals = [], {}, graph.intervals
+    for left, right, ty in typed:
+        i, t = left.i, right.i
+        types[i, t] = ty
+        lo, hi = intervals[i - s] if 0 <= i - s < len(intervals) else (1, 0)
+        if not (lo <= t <= hi and left == graph.side1[i - s]
+                and right == graph.side2[t - s]):
+            failures.append(f"typed edge {left.name()}--{right.name()} "
+                            f"is not an edge of the graph")
+        elif ty != (1 if i + t == mirror else 2 if i == t else 3):
+            failures.append(f"typed edge {left.name()}--{right.name()} "
+                            f"does not have the form of type {ty}")
+    return failures, types
+
+
+def reference_validate(dec, graph):
+    """validate_decomposition as written before the rewrite."""
+    params = dec.params
+    failures = []
+
+    own = graph.side1 + graph.side2
+    claimed, where = list(chain.from_iterable(dec.paths)), attrgetter("side", "i")
+    vertices = set(own)  # a path of these passes the vertex checks
+    if len(claimed) != len(own) or set(claimed) != vertices and \
+            set(map(where, claimed)) != set(map(where, own)):
+        failures.append("paths do not partition the vertex set")
+
+    if dec.graph is not graph and dec.graph != graph:
+        failures.append("decomposition was built for another graph")
+    typed_failures, typed_lookup = reference_typed_edge_failures(dec.typed, graph)
+    failures += typed_failures
+
+    aligned = len(dec.paths) == len(dec.edge_types) == len(dec.middles)
+    if not aligned:
+        failures.append(f"{len(dec.paths)} paths, {len(dec.edge_types)} edge "
+                        f"type rows and {len(dec.middles)} middles do not "
+                        f"line up")
+    mwis_total = 0
+    for p, path in enumerate(dec.paths):
+        weights = [v.weight for v in path]
+        best = path_mwis(weights) if path else 0
+        mwis_total += best
+        if not aligned:
+            continue
+        edge_types = dec.edge_types[p]
+        if len(edge_types) != len(path) - 1:
+            failures.append(f"path {p} has {len(path)} vertices and "
+                            f"{len(edge_types)} edge types")
+            continue
+        if not vertices.issuperset(path):
+            for v in path:
+                j = v.i - graph.params.s
+                if v.side not in (1, 2) or not 0 <= j < len(graph.weights):
+                    failures.append(f"{v.name()} is not a vertex of the graph")
+                elif v.weight != graph.weights[j]:
+                    failures.append(f"{v.name()} carries weight {v.weight}, "
+                                    f"expected {graph.weights[j]}")
+        for a, b, ty in zip(path, path[1:], edge_types):
+            key = (a.i, b.i) if a.side == 1 else (b.i, a.i)
+            if a.side == b.side or typed_lookup.get(key) != ty:
+                failures.append(f"{a.name()}--{b.name()} is not a typed edge "
+                                f"of type {ty}")
+        failures.extend(_path_failures(path, weights, edge_types,
+                                       dec.middles[p], best))
+
+    side_weight = sum(graph.weights)
+    if mwis_total != side_weight:
+        failures.append(f"sum of path MWIS values {mwis_total} != one side's "
+                        f"weight {side_weight}")
+
+    return Verdict(
+        claim="chains.valid",
+        params=params,
+        formula_value=side_weight,
+        oracle_value=mwis_total,
+        passed=not failures,
+        witness=failures or None,
+        detail="; ".join(failures[:4]) if failures else
+               f"{len(dec.paths)} paths, all balanced",
+    )
+
+
+class TestPinnedToPreviousConstruction:
+    """The index-array orbit layer against the code it replaced, on
+    every triple of pinned_grid."""
+
+    def test_graph_fields(self):
+        for params in pinned_grid():
+            g, ref = build_orbit_graph(params), reference_graph(params)
+            assert (g.weights, g.intervals, g.side1, g.side2) == \
+                (ref.weights, ref.intervals, ref.side1, ref.side2), params
+
+    def test_typed_edges_and_paths(self):
+        for params in pinned_grid():
+            dec = build_chain_decomposition(params)
+            assert classify_edges(dec.graph) == \
+                reference_classify_edges(dec.graph), params
+            assert (dec.paths, dec.edge_types, dec.middles, dec.typed) == \
+                reference_chains(params), params
+
+    def test_verdicts_on_valid_and_tampered_decompositions(self):
+        for params in pinned_grid():
+            dec = build_chain_decomposition(params)
+            g, path = dec.graph, dec.paths[0]
+            variants = [
+                dec,
+                replace(dec, paths=(path[::-1],) + dec.paths[1:]),
+                replace(dec, typed=tuple(e._replace(edge_type=3)
+                                         for e in dec.typed)),
+                replace(dec, middles=dec.middles[::-1], edge_types=()),
+                replace(dec, paths=((path[0]._replace(weight=1),)
+                                    + path[1:],) + dec.paths[1:])]
+            for tampered in variants:
+                for graph in (g, build_orbit_graph(replace(params,
+                                                           n=params.n + 1))):
+                    got = validate_decomposition(tampered, graph)
+                    want = reference_validate(tampered, graph)
+                    assert (got.passed, got.detail, got.witness,
+                            got.formula_value, got.oracle_value) == \
+                        (want.passed, want.detail, want.witness,
+                         want.formula_value, want.oracle_value), params
+
+    def test_rejected_triples_raise_as_before(self):
+        for params in pinned_grid(s_min=1, l_min=-1):
+            raised = []
+            for build in (build_chain_decomposition, reference_chains):
+                try:
+                    build(params)
+                    raised.append(None)
+                except CrossIntError as exc:
+                    raised.append(type(exc))
+            assert raised[0] == raised[1], params
+            assert (raised[0] is None) == (params.s >= 2 and params.l >= 0)
 
 
 class TestChainDecomposition:
