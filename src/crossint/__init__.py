@@ -33,8 +33,7 @@ from .orbitgraph import (ChainDecomposition, OrbitGraph, OrbitVertex,
                          build_orbit_graph, check_biregularity,
                          classify_edges, decomposition_to_dot, graph_to_dot,
                          path_mwis, validate_decomposition)
-from .oracle import (DEFAULT_ORACLE_CAP, ConflictGraph, build_conflict_graph,
-                     conflict_graph_mis, max_sum_nonempty,
+from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis, max_sum_nonempty,
                      max_sum_nonempty_unreduced, verify_theorem)
 from .report import (LemmaReport, ReportBundle, Verdict, emit_report,
                      skip_record)

@@ -25,7 +25,6 @@ serves the weighted orbit graph only.
 """
 
 import time
-from dataclasses import dataclass
 
 from .bipartite import unit_weight_independent_set
 from .errors import EnumerationTooLarge, FlowCertificateError, ParamsOutOfRange
@@ -38,47 +37,28 @@ from .sets import Family, Params, binom, ksubset_masks
 DEFAULT_ORACLE_CAP = 3500
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Bipartite graph on two copies of a family; (A, B) is an edge iff
-    |A ∩ B| < s."""
-
-    ground: Family
-    s: int
-    edges: tuple  # ordered (KSet on side 1, KSet on side 2) pairs
-
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-
-def build_conflict_graph(ground: Family, s: int,
-                         cap: int = DEFAULT_ORACLE_CAP) -> ConflictGraph:
-    if len(ground) == 0:
-        raise ValueError("conflict graph needs a nonempty ground family")
-    if len(ground) > cap:
-        raise EnumerationTooLarge(
-            f"ground family of {len(ground)} sets exceeds cap {cap}")
-    members = ground.members
-    masks = [m.mask for m in members]
-    edges = tuple((members[a], members[b])
-                  for a, row in enumerate(_conflict_rows(masks, masks, s))
-                  for b in range(len(members)) if row >> b & 1)
-    return ConflictGraph(ground, s, edges)
-
-
-def _conflict_rows(masks1, masks2, s: int):
+def _conflict_rows(masks1, masks2, s: int) -> list:
     """For each x in masks1, the bitset of the indices b with
-    |x ∩ masks2[b]| < s.
+    |x ∩ masks2[b]| < s: the rows of ``_iter_conflict_rows`` as a list.
+
+    The oracle's conflict graphs and ``orbitgraph.check_biregularity``
+    (orbit degrees as row popcounts) need every row;
+    ``sweep._enumerated_conflict`` reads the generator itself and stops
+    at the first nonzero row.
+    """
+    return list(_iter_conflict_rows(masks1, masks2, s))
+
+
+def _iter_conflict_rows(masks1, masks2, s: int):
+    """Yield, for each x in masks1 in turn, the bitset of the indices b
+    with |x ∩ masks2[b]| < s.
 
     Bit b of ``col[e]`` is set iff element e lies in masks2[b] (the key
-    is the mask 1 << e).  For each x a bit-sliced counter runs over the
-    elements of x: bit b of ``hits[j]`` is set once masks2[b] has met at
-    least j of them, so the row is the complement of ``hits[s]``.  That
-    is k * s big-int operations per row instead of one popcount per pair.
-
-    Three callers share it: this module's conflict graphs,
-    ``orbitgraph.check_biregularity`` (orbit degrees as row popcounts)
-    and ``sweep._enumerated_conflict`` (whether any row is nonzero).
+    is the mask 1 << e); the table is built once, before the first row.
+    For each x a bit-sliced counter runs over the elements of x: bit b
+    of ``hits[j]`` is set once masks2[b] has met at least j of them, so
+    the row is the complement of ``hits[s]``.  That is k * s big-int
+    operations per row instead of one popcount per pair.
     """
     full = (1 << len(masks2)) - 1
     ground = 0
@@ -87,7 +67,6 @@ def _conflict_rows(masks1, masks2, s: int):
     backwards = masks2[::-1]
     col = {1 << e: int("".join(["01"[y >> e & 1] for y in backwards]), 2)
            for e in range(ground.bit_length()) if ground >> e & 1}
-    rows = []
     for x in masks1:
         hits = [full] + [0] * s
         top = 0
@@ -100,8 +79,7 @@ def _conflict_rows(masks1, masks2, s: int):
                 top += 1
             for j in range(top, 0, -1):
                 hits[j] |= hits[j - 1] & column
-        rows.append(full ^ hits[s])
-    return rows
+        yield full ^ hits[s]
 
 
 def _mis_two_copies(masks1, masks2, rows):

@@ -402,7 +402,9 @@ def check_biregularity(params: Params, i: int, t: int,
 
     The orbits are enumerated explicitly and each degree is the popcount
     of a ``_conflict_rows`` bitset row, one row per set of either orbit
-    against the other, so no symmetry argument is used.
+    against the other, so no symmetry argument is used.  Both tables
+    are built, so the verdict for (t, i) is ``_transposed`` of this one;
+    when i == t the two tables coincide and one is built.
     """
     k, s = params.k, params.s
     for x in (i, t):
@@ -417,25 +419,38 @@ def check_biregularity(params: Params, i: int, t: int,
             f"{size_i} x {size_t} pairwise checks exceed cap {cap}")
 
     orbit_i = _orbit_masks(params, i)
-    orbit_t = _orbit_masks(params, t)
+    orbit_t = orbit_i if i == t else _orbit_masks(params, t)
     deg_i = {row.bit_count() for row in _conflict_rows(orbit_i, orbit_t, s)}
-    deg_t = {row.bit_count() for row in _conflict_rows(orbit_t, orbit_i, s)}
+    deg_t = deg_i if i == t else {
+        row.bit_count() for row in _conflict_rows(orbit_t, orbit_i, s)}
+    return _biregular_verdict(params, (i, t), (size_i, size_t),
+                              (sorted(deg_i), sorted(deg_t)))
+
+
+def _biregular_verdict(params: Params, pair, sizes, degrees) -> Verdict:
+    """The biregularity verdict of the profile pair from its orbit sizes
+    and the sorted degree lists of its two sides."""
+    (size_i, size_t), (deg_i, deg_t) = sizes, degrees
     passed = (len(deg_i) == 1 and len(deg_t) == 1
               and 0 not in deg_i and 0 not in deg_t)
-    d1 = min(deg_i, default=0)
-    d2 = min(deg_t, default=0)
     return Verdict(
         claim="orbit-pair.biregular",
         params=params,
         formula_value=None,
         oracle_value=None,
         passed=passed,
-        witness={"profile_pair": (i, t), "sizes": (size_i, size_t),
-                 "degrees": (sorted(deg_i), sorted(deg_t))},
-        detail=(f"degrees {d1} x {d2} on orbit sizes {size_i} x {size_t}"
-                if passed else
-                f"degree sets {sorted(deg_i)} / {sorted(deg_t)}"),
+        witness={"profile_pair": pair, "sizes": sizes, "degrees": degrees},
+        detail=(f"degrees {deg_i[0]} x {deg_t[0]} on orbit sizes {size_i} x "
+                f"{size_t}" if passed else f"degree sets {deg_i} / {deg_t}"),
     )
+
+
+def _transposed(verdict: Verdict) -> Verdict:
+    """The ``check_biregularity`` verdict of the profile pair (t, i),
+    from the verdict of (i, t): the same graph with its sides swapped."""
+    witness = verdict.witness
+    return _biregular_verdict(verdict.params, witness["profile_pair"][::-1],
+                              witness["sizes"][::-1], witness["degrees"][::-1])
 
 
 def graph_to_dot(graph: OrbitGraph) -> str:

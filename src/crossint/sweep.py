@@ -10,6 +10,7 @@ scheduling, so a caller can write them out as they arrive.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 
 from . import __version__
@@ -17,9 +18,10 @@ from .bipartite import interval_independent_set
 from .errors import ConfigError, EnumerationTooLarge
 from .extremal import (check_mirror_weight_ordering, check_offset_weight_ordering,
                        min_pair_intersection, size_extremal_family)
-from .oracle import (DEFAULT_ORACLE_CAP, _conflict_rows, conflict_graph_mis,
-                     max_sum_nonempty_unreduced, verify_theorem)
-from .orbitgraph import (_orbit_masks, build_chain_decomposition,
+from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
+                     conflict_graph_mis, max_sum_nonempty_unreduced,
+                     verify_theorem)
+from .orbitgraph import (_orbit_masks, _transposed, build_chain_decomposition,
                          build_orbit_graph, check_biregularity,
                          validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
@@ -186,20 +188,35 @@ def _interval_rule(params: Params, i: int, t: int) -> bool:
     return params.k - params.l <= i + t <= params.k + params.s - 1
 
 
+@lru_cache(maxsize=1)  # sweeps run triple by triple: one live entry
+def _profile_orbits(params: Params) -> dict:
+    """The masks of each profile's orbit, s..k-1, enumerated once."""
+    return {p: _orbit_masks(params, p) for p in range(params.s, params.k)}
+
+
 def _enumerated_conflict(params: Params, i: int, t: int) -> bool:
     """Whether some pair of sets from the two orbits meets in fewer than
-    s elements, by enumerating both orbits."""
-    return any(_conflict_rows(_orbit_masks(params, i),
-                              _orbit_masks(params, t), params.s))
+    s elements, by enumerating both orbits; it stops at the first set of
+    orbit i that conflicts with some set of orbit t."""
+    orbits = _profile_orbits(params)
+    return any(_iter_conflict_rows(orbits[i], orbits[t], params.s))
 
 
 def _check_edges(params: Params, spec: SweepSpec):
+    """Every profile pair (i, t) through each edge route: the interval
+    rule, the closed-form minimum intersection, the orbit graph (s >= 2)
+    and, for n up to the exhaustive cap, enumeration of both orbits.
+    Each orbit is enumerated once per triple, and each unordered pair
+    once, since |x ∩ y| = |y ∩ x|."""
     if params.l < 0:
         return [skip_record(params, "edges", "inapplicable: slack l < 0")]
     start = time.perf_counter()
     profiles = range(params.s, params.k)
     graph = build_orbit_graph(params) if params.s >= 2 else None
     exhaustive = params.n <= spec.exhaustive_n_cap
+    enumerated = {(i, t): _enumerated_conflict(params, i, t)
+                  for i in profiles for t in profiles
+                  if i <= t} if exhaustive else {}
     mismatches = []
     for i in profiles:
         for t in profiles:
@@ -209,7 +226,7 @@ def _check_edges(params: Params, spec: SweepSpec):
             if graph is not None:
                 routes["graph"] = graph.has_edge(i, t)
             if exhaustive:
-                routes["enumerated"] = _enumerated_conflict(params, i, t)
+                routes["enumerated"] = enumerated[min(i, t), max(i, t)]
             if len(set(routes.values())) != 1:
                 mismatches.append({"i": i, "t": t, **routes})
     detail = (f"{len(profiles) ** 2} profile pairs agree on "
@@ -236,9 +253,13 @@ def _check_biregular(params: Params, spec: SweepSpec):
     edges = sorted(build_orbit_graph(params).edges)
     failures = []
     degrees = {}
+    verdicts = {}
     try:
         for i, t in edges:
-            verdict = check_biregularity(params, i, t)
+            # each call builds both tables: (t, i) reads them transposed
+            verdict = (_transposed(verdicts[t, i]) if (t, i) in verdicts
+                       else check_biregularity(params, i, t))
+            verdicts[i, t] = verdict
             degrees[f"({i},{t})"] = verdict.witness["degrees"]
             if not verdict.passed:
                 failures.append((i, t, verdict.detail))

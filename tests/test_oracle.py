@@ -2,9 +2,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from crossint import (EnumerationTooLarge, Family, FlowCertificateError, KSet,
-                      Params, ParamsOutOfRange, binom,
-                      build_conflict_graph, build_extremal_family,
+from crossint import (EnumerationTooLarge, FlowCertificateError, KSet,
+                      Params, ParamsOutOfRange, binom, build_extremal_family,
                       conflict_graph_mis, is_s_cross_intersecting,
                       ksubset_masks, max_sum_nonempty,
                       max_sum_nonempty_unreduced, max_weight_independent_set,
@@ -12,7 +11,8 @@ from crossint import (EnumerationTooLarge, Family, FlowCertificateError, KSet,
 from crossint import oracle
 from crossint.bipartite import unit_weight_independent_set
 from crossint.oracle import (_canonical_anchor, _conflict_rows,
-                             _mis_two_copies, _swap_blocks)
+                             _iter_conflict_rows, _mis_two_copies,
+                             _swap_blocks)
 from crossint.orbitgraph import build_orbit_graph
 
 
@@ -27,40 +27,13 @@ def orbit_graph_mwis(params):
 
 
 class TestConflictGraph:
-    def test_extremal_minus_base_7_3_2(self):
-        params = Params(7, 3, 2)
-        base = params.base_set()
-        ground = Family([m for m in build_extremal_family(params)
-                         if m != base], n=7, k=3)
-        g = build_conflict_graph(ground, 2)
-        assert len(g.ground) == 12
-        # every remaining member has profile 2, and the induced conflict
-        # structure is 6-regular on each side (cf. the biregularity check)
-        degree = {a: 0 for a in ground}
-        for a, _ in g.edges:
-            degree[a] += 1
-        assert set(degree.values()) == {6}
-        assert g.edge_count() == 72
-
-    def test_disjoint_pair(self):
-        ground = Family([kset(1, 2, n=4), kset(3, 4, n=4)])
-        g = build_conflict_graph(ground, 1)
-        assert sorted((a.elements, b.elements) for a, b in g.edges) == [
-            ((1, 2), (3, 4)), ((3, 4), (1, 2))]
-
-    def test_base_singleton_edgeless(self):
-        for s in (1, 2, 3):
-            ground = Family([kset(1, 2, 3, n=6)])
-            assert build_conflict_graph(ground, s).edges == ()
-
     def test_cap(self):
-        ground = build_extremal_family(Params(9, 4, 2))
-        with pytest.raises(EnumerationTooLarge):
-            build_conflict_graph(ground, 2, cap=10)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_conflict_graph(Family([], n=5, k=2), 1)
+        # the conflict graph on all C(9, 4) = 126 k-sets is built only when
+        # the cap admits it: every cap below 126 raises, a cap of 126 runs
+        for cap in (10, 50, 125):
+            with pytest.raises(EnumerationTooLarge):
+                conflict_graph_mis(Params(9, 4, 2), cap=cap)
+        assert conflict_graph_mis(Params(9, 4, 2), cap=126) == 80
 
 
 @st.composite
@@ -90,6 +63,36 @@ class TestConflictRows:
     @example(([0b1110, 0b10110], [0b100110, 0b1110], 2))
     def test_matches_pair_scan(self, sides):
         assert _conflict_rows(*sides) == pair_scan(*sides)
+
+    @given(two_sides())
+    @example(([], [], 1))
+    @example(([], [0b110], 1))
+    @example(([0b110], [], 1))
+    def test_any_row_of_the_generator(self, sides):
+        # the enumerated edge route reads only as far as the first nonzero row
+        assert any(_iter_conflict_rows(*sides)) == any(_conflict_rows(*sides)) \
+            == any(pair_scan(*sides))
+
+    def test_extremal_minus_base_7_3_2(self):
+        params = Params(7, 3, 2)
+        base = params.base_set().mask
+        ground = [m.mask for m in build_extremal_family(params)
+                  if m.mask != base]
+        rows = _conflict_rows(ground, ground, 2)
+        assert len(rows) == 12
+        # every remaining member has profile 2, and the induced conflict
+        # structure is 6-regular on each side (cf. the biregularity check)
+        assert {row.bit_count() for row in rows} == {6}
+        assert sum(row.bit_count() for row in rows) == 72
+
+    def test_disjoint_pair(self):
+        ground = [kset(1, 2, n=4).mask, kset(3, 4, n=4).mask]
+        assert _conflict_rows(ground, ground, 1) == [0b10, 0b01]
+
+    def test_base_singleton_edgeless(self):
+        for s in (1, 2, 3):
+            ground = [kset(1, 2, 3, n=6).mask]
+            assert _conflict_rows(ground, ground, s) == [0]
 
 
 class TestConflictGraphMis:

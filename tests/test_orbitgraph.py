@@ -865,6 +865,29 @@ class TestBiregularity:
                 pairs += 1
         assert pairs == 115
 
+    def test_transposed_is_the_swapped_call(self):
+        pairs = 0
+        for params in small_graph_params():
+            if params.n > 11:
+                continue
+            for i, t in build_orbit_graph(params).edges:
+                assert orbitgraph._transposed(check_biregularity(
+                    params, i, t)) == check_biregularity(params, t, i)
+                pairs += 1
+        assert pairs == 115
+
+    @pytest.mark.parametrize("pair,tables", [((2, 2), 1), ((2, 3), 2)])
+    def test_one_table_when_profiles_coincide(self, monkeypatch, pair, tables):
+        rows, calls = orbitgraph._conflict_rows, []
+
+        def counted(masks1, masks2, s):
+            calls.append(len(masks1))
+            return rows(masks1, masks2, s)
+
+        monkeypatch.setattr(orbitgraph, "_conflict_rows", counted)
+        assert check_biregularity(Params(9, 4, 2), *pair).passed
+        assert len(calls) == tables
+
 
 class TestDotOutput:
     def test_chains_9_4_2_styling(self):

@@ -10,7 +10,9 @@ from crossint import (ConfigError, LemmaReport, Params, ReportBundle,
                       SweepSpec, binom, emit_report, orbitgraph, run_sweep,
                       sweep)
 from crossint.cli import main
-from crossint.report import CSV_COLUMNS
+from crossint.errors import EnumerationTooLarge
+from crossint.oracle import _conflict_rows, _iter_conflict_rows
+from crossint.report import CSV_COLUMNS, Verdict, skip_record
 
 from conftest import break_chain_decompositions
 
@@ -321,3 +323,166 @@ class TestBuildOnce:
         assert bundle.passed
         assert sorted(calls["build"]) == triples
         assert sorted(calls["classify"]) == triples * classified
+
+
+def edges_triples(n_max):
+    """Every (n, k, s) with n <= n_max, including slack l < 0."""
+    return [Params(n, k, s) for n in range(3, n_max + 1)
+            for k in range(2, n + 1) for s in range(1, k)]
+
+
+class TestEdgesRoute:
+    """check-edges enumerates each unordered profile pair once, and the
+    enumerated route stops at the first conflicting row."""
+
+    def test_one_enumeration_per_unordered_pair(self, monkeypatch):
+        spec = SweepSpec(ks=(3,), ss=(2,), ls=(0,))
+        enumerate_pair = sweep._enumerated_conflict
+        orbit_masks = sweep._orbit_masks
+        calls, built = [], []
+
+        def counted_pair(params, i, t):
+            calls.append((i, t))
+            return enumerate_pair(params, i, t)
+
+        def counted_orbit(params, profile):
+            built.append((params, profile))
+            return orbit_masks(params, profile)
+
+        monkeypatch.setattr(sweep, "_enumerated_conflict", counted_pair)
+        monkeypatch.setattr(sweep, "_orbit_masks", counted_orbit)
+        sweep._profile_orbits.cache_clear()
+        try:
+            for params in edges_triples(10):
+                calls.clear()
+                built.clear()
+                records = sweep._check_edges(params, spec)
+                profiles = range(params.s, params.k)
+                if params.l < 0:
+                    assert calls == built == []
+                    continue
+                assert records[0]["status"] == "pass", params
+                assert sorted(tuple(sorted(pair)) for pair in calls) == [
+                    (i, t) for i in profiles for t in profiles if i <= t]
+                # each profile's orbit is enumerated once per triple
+                assert built == [(params, p) for p in profiles]
+        finally:
+            sweep._profile_orbits.cache_clear()
+
+    def test_stops_at_the_first_conflicting_row(self, monkeypatch):
+        consumed = []
+
+        def counted_rows(masks1, masks2, s):
+            rows = []
+            consumed.append(rows)
+            for row in _iter_conflict_rows(masks1, masks2, s):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(sweep, "_iter_conflict_rows", counted_rows)
+        stopped = exhausted = 0
+        for params in edges_triples(10):
+            for i in range(params.s, params.k):
+                orbit_i = orbitgraph._orbit_masks(params, i)
+                for t in range(params.s, params.k):
+                    orbit_t = orbitgraph._orbit_masks(params, t)
+                    rows = _conflict_rows(orbit_i, orbit_t, params.s)
+                    consumed.clear()
+                    conflict = sweep._enumerated_conflict(params, i, t)
+                    assert conflict == any(rows)
+                    assert len(consumed) == 1
+                    if conflict:
+                        # every row up to the first nonzero one, no further
+                        first = next(a for a, row in enumerate(rows) if row)
+                        assert consumed[0] == rows[:first + 1]
+                        stopped += len(rows) > first + 1
+                    else:
+                        assert consumed[0] == rows
+                        exhausted += len(rows) > 0
+        assert stopped > 0 and exhausted > 0
+
+
+def ordered_reference(params, spec):
+    """The biregular check as one ``check_biregularity`` call per ordered
+    edge of the orbit graph."""
+    if params.s < 2 or params.l < 0:
+        return [skip_record(params, "biregular",
+                            "inapplicable: needs s >= 2 and slack l >= 0")]
+    edges = sorted(orbitgraph.build_orbit_graph(params).edges)
+    failures = []
+    degrees = {}
+    try:
+        for i, t in edges:
+            verdict = orbitgraph.check_biregularity(params, i, t)
+            degrees[f"({i},{t})"] = verdict.witness["degrees"]
+            if not verdict.passed:
+                failures.append((i, t, verdict.detail))
+    except EnumerationTooLarge as exc:
+        return [skip_record(params, "biregular", f"skipped: cap ({exc})")]
+    verdict = Verdict(
+        claim="edges.biregular-premise",
+        params=params,
+        formula_value=None,
+        oracle_value=None,
+        passed=not failures,
+        witness={"degrees": degrees},
+        detail=(f"{len(edges)} conflicting orbit pairs, all biregular"
+                if not failures else f"failures: {failures[:3]}"),
+    )
+    return [verdict.to_record("biregular")]
+
+
+class TestBiregularOncePerUnorderedPair:
+    spec = SweepSpec(ks=(3,), ss=(2,), ls=(0,))
+
+    def test_matches_ordered_reference(self, monkeypatch):
+        check = sweep.check_biregularity
+        calls = []
+
+        def counted(params, i, t):
+            calls.append((i, t))
+            return check(params, i, t)
+
+        monkeypatch.setattr(sweep, "check_biregularity", counted)
+        compared = 0
+        for params in edges_triples(11):
+            if params.s < 2:
+                continue
+            calls.clear()
+            records = sweep._check_biregular(params, self.spec)
+            assert strip_timings(records) == strip_timings(
+                ordered_reference(params, self.spec)), params
+            if records[0]["status"] == "skip":
+                assert calls == []
+                continue
+            unordered = {tuple(sorted(edge))
+                         for edge in orbitgraph.build_orbit_graph(params).edges}
+            assert sorted(tuple(sorted(pair)) for pair in calls) == \
+                sorted(unordered), params
+            compared += 1
+        assert compared == 50
+
+    def test_swapped_orientation_fails_with_its_own_text(self, monkeypatch):
+        # drop one set from orbit 3 of (9, 4, 2): the orbit-2 sets that
+        # met it lose a neighbour, so the degrees differ on that side
+        orbit_masks = orbitgraph._orbit_masks
+
+        def dropped(params, profile):
+            masks = orbit_masks(params, profile)
+            return masks[:-1] if profile == 3 else masks
+
+        monkeypatch.setattr(orbitgraph, "_orbit_masks", dropped)
+        params = Params(9, 4, 2)
+        forward = orbitgraph.check_biregularity(params, 2, 3)
+        backward = orbitgraph.check_biregularity(params, 3, 2)
+        assert forward.detail == "degree sets [5, 6] / [18]"
+        assert backward.detail == "degree sets [18] / [5, 6]"
+        [record] = sweep._check_biregular(params, self.spec)
+        assert record["status"] == "fail"
+        assert record["detail"] == (
+            f"failures: {[(2, 3, forward.detail), (3, 2, backward.detail)]}")
+        assert record["witness"]["degrees"] == {
+            "(2,2)": ([21], [21]), "(2,3)": ([5, 6], [18]),
+            "(3,2)": ([18], [5, 6])}
+        assert strip_timings([record]) == strip_timings(
+            ordered_reference(params, self.spec))
