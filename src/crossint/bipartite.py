@@ -9,17 +9,19 @@ solver (``max_weight_independent_set``) and the reference the others
 are tested against.  Two special shapes skip the flow network:
 unit-weight graphs given as bitset rows, one int per side-1 vertex (the
 oracle's dense conflict graphs), are solved by a bit-parallel
-Hopcroft-Karp maximum matching and the König cover read off it, and
-weighted graphs whose side-1 neighbourhoods are intervals of side 2 (the
-sweep's lemma1 orbit graphs) by an earliest-deadline greedy flow and its
-residual cut.  Both give the same cover the flow would.
+Hopcroft-Karp maximum matching, seeded from the far end of each row,
+and the König cover read off it, and weighted graphs whose side-1
+neighbourhoods are intervals of side 2 (the sweep's lemma1 orbit
+graphs) by an earliest-deadline greedy flow and its residual cut.  Both
+give the same cover the flow would.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import compress
-from operator import gt
+from operator import gt, or_
 
 from .errors import FlowCertificateError, NotACover, NotAFractionalIndependentSet
 
@@ -208,26 +210,32 @@ def _hopcroft_karp(rows, num2):
     """Maximum matching of a bipartite graph; side-1 vertex a is adjacent
     to the side-2 indices b in 0..num2-1 whose bit is set in ``rows[a]``.
 
-    A greedy seed, each row in order taking its lowest free side-2 bit, is
-    the matching the first phase would find with every vertex free.  Each
+    A greedy seed matches each row in order to its highest free side-2
+    bit.  The oracle lists both sides in lex order, up to a relabeling,
+    and a set conflicts mostly with sets far from it in that order, so
+    the highest bit pairs a row with the far end, close to the complement
+    pairing, and leaves the later rows free bits; the lowest bit would
+    send the early rows to the middle and block the later ones.  Each
     phase then layers side 1 by BFS from the free side-1 vertices and
     augments along vertex-disjoint shortest paths by a DFS on an explicit
-    stack.  The BFS takes each side-2 vertex out of an ``unseen`` bitset the
-    first time it meets it.  ``layer[j]`` holds the side-2 vertices whose
-    mate sits on BFS layer j; a bit is cleared when its mate dies or the
-    vertex is re-matched, so the DFS step from depth d is the lowest bit of
-    ``rows[a] & layer[d + 1]`` (of ``rows[a] & free2`` on the last layer)
-    and no per-edge iterator is needed.  Returns ``mate1``, ``mate2`` (-1
-    when free) and the König sets: the flags of the side-1 vertices that
-    alternating paths from the free side-1 vertices reach under the final
-    matching, and the bitset of the side-2 vertices they reach.
+    stack.  The BFS takes each side-2 vertex out of an ``unseen`` bitset
+    the first time it meets it.  ``layer[j]`` holds the side-2 vertices
+    whose mate sits on BFS layer j; a bit is cleared when its mate dies
+    or the vertex is re-matched, so the DFS step from depth d is the
+    highest bit of ``rows[a] & layer[d + 1]`` (of ``rows[a] & free2`` on
+    the last layer) and no per-edge iterator is needed.  Returns
+    ``mate1``, ``mate2`` (-1 when free) and the König sets: the flags of
+    the side-1 vertices that alternating paths from the free side-1
+    vertices reach under the final matching, and the bitset of the side-2
+    vertices they reach.  Those sets are the same for every maximum
+    matching, so neither the seed nor the bit order changes them.
     """
     num1 = len(rows)
     mate1, mate2 = [-1] * num1, [-1] * num2
     full2 = free2 = (1 << num2) - 1
     for a, row in enumerate(rows):
         if nb := row & free2:
-            b = (nb & -nb).bit_length() - 1
+            b = nb.bit_length() - 1
             mate1[a], mate2[b] = b, a
             free2 ^= 1 << b
     while True:
@@ -273,7 +281,7 @@ def _hopcroft_karp(rows, num2):
                     if via:
                         layer[d] ^= 1 << via.pop()
                     continue
-                b = (nb & -nb).bit_length() - 1
+                b = nb.bit_length() - 1
                 via.append(b)
                 if d < limit:
                     stack.append(mate2[b])
@@ -289,6 +297,11 @@ def _hopcroft_karp(rows, num2):
     # The last BFS ran to the end, so the side-2 vertices it met are the
     # union of the reached rows.
     return mate1, mate2, [d >= 0 for d in dist], full2 ^ unseen
+
+
+#: bytes.translate table from the digits of a binary numeral to the
+#: flags of its unset bits.
+_UNSET = bytes.maketrans(b"01", b"\1\0")
 
 
 def unit_weight_independent_set(rows, num2):
@@ -319,15 +332,18 @@ def unit_weight_independent_set(rows, num2):
             matched += 1
     if sum(a >= 0 for a in mate2) != matched:
         raise FlowCertificateError("side-2 mates disagree with side 1")
-    for a, row in enumerate(rows):
-        if reached1[a] and row & ~reached2:
-            raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
-                                       f"left uncovered")
+    if reduce(or_, compress(rows, reached1), 0) & ~reached2:
+        a = next(a for a, row in compress(enumerate(rows), reached1)
+                 if row & ~reached2)
+        raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
+                                   f"left uncovered")
     if reached1.count(False) + reached2.bit_count() != matched:
         raise FlowCertificateError(f"cover size differs from matching "
                                    f"size {matched}")
-    chosen1 = [a for a, r in enumerate(reached1) if r]
-    chosen2 = [b for b in range(num2) if not reached2 >> b & 1]
+    chosen1 = list(compress(range(len(rows)), reached1))
+    # the digits of reached2, lowest bit first, as 1 where the bit is unset
+    unreached2 = f"{reached2:0{num2}b}"[::-1].encode().translate(_UNSET)
+    chosen2 = list(compress(range(num2), unreached2))
     return len(rows) + num2 - matched, chosen1, chosen2
 
 

@@ -30,7 +30,7 @@ from .bipartite import unit_weight_independent_set
 from .errors import EnumerationTooLarge, FlowCertificateError, ParamsOutOfRange
 from .extremal import size_extremal_family
 from .report import Verdict
-from .sets import Family, Params, binom, ksubset_masks
+from .sets import Family, Params, binom, ksubset_masks, mask_elements
 
 #: Largest C(n, k) the oracle will enumerate by default; the resulting
 #: conflict graphs have at most 2 * cap vertices.
@@ -134,9 +134,8 @@ def _swap_blocks(masks, k: int, i: int) -> list:
     return [(x & keep) | ((x & low) << d) | ((x >> d) & low) for x in masks]
 
 
-def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
-    """Exact maximum of |A| + |B| over nonempty s-cross-intersecting
-    pairs, with a realizing pair.
+def _max_sum_masks(params: Params, cap: int):
+    """The maximum of |A| + |B| and a realizing pair as two mask lists.
 
     Any optimal pair contains members A0, B0 with |A0 ∩ B0| = i >= s
     (and i >= 2k-n by counting), and relabeling the ground set moves
@@ -151,7 +150,8 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
     s-meeting A0 = sigma_i(B0); since |x ∩ sigma_i(z)| = |sigma_i(x) ∩ z|,
     the row of x is the row of sigma_i(x) against side A.  So one
     ``_conflict_rows`` call over the distinct images for every i builds
-    all the rows of the instance.
+    all the rows of the instance.  Raises FlowCertificateError unless
+    each list holds distinct k-subsets of [n].
     """
     n, k, s = params.n, params.k, params.s
     if binom(n, k) > cap:
@@ -182,8 +182,28 @@ def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
             best = (value, picked_a, picked_b)
 
     value, picked_a, picked_b = best
-    witness = (Family.from_masks(picked_a, n, k),
-               Family.from_masks(picked_b, n, k))
+    for picked in (picked_a, picked_b):
+        if len(set(picked)) != len(picked):
+            raise FlowCertificateError("a witness family repeats a set")
+        for x in picked:
+            if x.bit_count() != k or x & 1 or x >> (n + 1):
+                raise FlowCertificateError(f"witness member {x:#x} is not "
+                                           f"a {k}-subset of [{n}]")
+    return value, picked_a, picked_b
+
+
+def _witness_rows(masks) -> list:
+    """Each set as its comma-separated elements, in lex order of the
+    element tuples: the rows of the Family of ``masks``."""
+    return [",".join(map(str, e)) for e in sorted(map(mask_elements, masks))]
+
+
+def max_sum_nonempty(params: Params, cap: int = DEFAULT_ORACLE_CAP):
+    """Exact maximum of |A| + |B| over nonempty s-cross-intersecting
+    pairs, with a realizing pair of Families (see ``_max_sum_masks``)."""
+    value, picked_a, picked_b = _max_sum_masks(params, cap)
+    witness = (Family.from_masks(picked_a, params.n, params.k),
+               Family.from_masks(picked_b, params.n, params.k))
     return value, witness
 
 
@@ -233,13 +253,14 @@ def verify_theorem(params: Params, cap: int = DEFAULT_ORACLE_CAP) -> Verdict:
         formula = 2 * binom(params.n, params.k)
         detail = ("outside theorem range (n <= 2k-s): comparing against the "
                   "pigeonhole value 2*C(n,k)")
-    value, (fam_a, fam_b) = max_sum_nonempty(params, cap=cap)
+    value, picked_a, picked_b = _max_sum_masks(params, cap)
+    rows_a, rows_b = _witness_rows(picked_a), _witness_rows(picked_b)
     millis = (time.perf_counter() - start) * 1000.0
     witness = {
-        "family_a_size": len(fam_a),
-        "family_b_size": len(fam_b),
-        "family_a": [",".join(map(str, m.elements)) for m in fam_a],
-        "family_b": [",".join(map(str, m.elements)) for m in fam_b],
+        "family_a_size": len(rows_a),
+        "family_b_size": len(rows_b),
+        "family_a": rows_a,
+        "family_b": rows_b,
     }
     return Verdict(
         claim="theorem.max-sum",

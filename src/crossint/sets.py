@@ -25,6 +25,16 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def mask_elements(mask: int) -> tuple:
+    """The elements of a set mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 @total_ordering
 @dataclass(frozen=True)
 class KSet:
@@ -58,13 +68,7 @@ class KSet:
 
     @property
     def elements(self) -> tuple:
-        out = []
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return tuple(out)
+        return mask_elements(self.mask)
 
     def __lt__(self, other: "KSet") -> bool:
         return self.elements < other.elements

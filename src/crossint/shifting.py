@@ -63,18 +63,30 @@ def is_shifted(family: Family) -> bool:
 def shift_closure(family: Family) -> Family:
     """Apply shifts until the family is fixed by all of them.
 
-    Scans pairs (i, j) in lexicographic order, applies the first shift
-    that has movers, rewriting only those members, and restarts the
-    scan; deterministic.  Terminates because every applied shift
-    strictly decreases the sum of all element labels.
+    One pass over the pairs (i, j) in lexicographic order applies each
+    shift that has movers, rewriting only those members; deterministic.
+    A shift leaves its own pair without movers, and it gives none to an
+    earlier pair (a, b), so each applied shift is the lexicographically
+    first with movers: the shifts, and the family, are those of a scan
+    restarted at (1, 2) after every shift.
+
+    Why no earlier pair gains a mover: let F have none for the pairs
+    before (i, j), G be its (i, j)-shift and (a, b) precede (i, j).  A
+    new mover of (a, b) is an added image y = x - j + i of a mover x,
+    with b in y and a not, or a member z = x - a + b of G whose
+    (a, b)-image x was removed; either way a < i, as y holds i and x
+    lacks it.  For y, y - b + a is in G: when b = i it is x - j + a, in F
+    by stability under (a, j) and unremoved as it lacks j; when b != i
+    it is the (i, j)-image of x - b + a, which is in F by stability under
+    (a, b), so it was added, or was in F and stays as it lacks j.  For z:
+    z holds j, so it is no added image but a member of F that stayed, so
+    no mover; stability under (a, j) applied to z (when b = i) or under
+    (a, b) applied to its image z - j + i (when b != i) puts x - j + i
+    in F, so x was no mover.
     """
-    pairs = _pairs(family.n)
     masks = family.masks()
-    while True:
-        for i, j in pairs:
-            movers = _movers(i, j, masks)
-            if movers:
-                masks = _move(i, j, masks, movers)
-                break
-        else:
-            return Family.from_masks(masks, family.n, family.k)
+    for i, j in _pairs(family.n):
+        movers = _movers(i, j, masks)
+        if movers:
+            masks = _move(i, j, masks, movers)
+    return Family.from_masks(masks, family.n, family.k)

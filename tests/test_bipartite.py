@@ -4,6 +4,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from heapq import heappop, heappush
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from crossint import (FlowCertificateError, FlowNetwork, NotACover,
                       NotAFractionalIndependentSet, Params,
                       WeightedBipartiteGraph, bipartite,
                       check_fractional_weak_duality, max_flow,
-                      max_weight_independent_set, min_weight_vertex_cover)
+                      max_sum_nonempty_unreduced, max_weight_independent_set,
+                      min_weight_vertex_cover, verify_theorem)
 from crossint.bipartite import (interval_independent_set,
                                 unit_weight_independent_set)
 from crossint.orbitgraph import build_orbit_graph
@@ -195,12 +197,14 @@ class TestUnitWeightIndependentSet:
                                    + [(2, b) for b in chosen2])
 
     def test_long_augmenting_path_does_not_recurse(self):
-        # a_i - b_i and a_i - b_(i+1), with b_j at bit n-1-j so that the
-        # lowest bit of row i is b_(i+1): the greedy seed leaves a_(n-1)
+        # a_i - b_i and a_i - b_(i+1), with b_j at bit j so that the
+        # highest bit of row i is b_(i+1): the greedy seed leaves a_(n-1)
         # free, and the one augmenting path left runs through all 1,500
-        # vertices of each side
+        # vertices of each side, re-routing every a_i to b_i
         n = 1500
-        rows = [3 << (n - 2 - i) for i in range(n - 1)] + [1]
+        rows = [3 << i for i in range(n - 1)] + [1 << (n - 1)]
+        mate1, _, _, _ = bipartite._hopcroft_karp(rows, n)
+        assert mate1 == list(range(n))
         value, chosen1, chosen2 = unit_weight_independent_set(rows, n)
         assert value == n
         edges = {(a, b) for a, row in enumerate(rows) for b in range(n)
@@ -210,14 +214,14 @@ class TestUnitWeightIndependentSet:
                                    + [(2, b) for b in chosen2])
 
     def test_augments_past_a_non_maximum_seed(self):
-        # the seed matches a_0 - b_0 and leaves a_1, adjacent to b_0 only,
-        # free; the phases must re-route a_0 to b_1
-        rows = [0b11, 0b01]
+        # the seed matches a_0 - b_1 and leaves a_1, adjacent to b_1 only,
+        # free; the phases must re-route a_0 to b_0
+        rows = [0b11, 0b10]
         mate1, mate2, _, _ = bipartite._hopcroft_karp(rows, 2)
-        assert mate1 == [1, 0] and mate2 == [1, 0]
+        assert mate1 == [0, 1] and mate2 == [0, 1]
         value, chosen1, chosen2 = unit_weight_independent_set(rows, 2)
         assert value == 2
-        chosen, _ = dinic_reference(2, 2, {(0, 0), (0, 1), (1, 0)})
+        chosen, _ = dinic_reference(2, 2, {(0, 0), (0, 1), (1, 1)})
         assert chosen == frozenset([(1, a) for a in chosen1]
                                    + [(2, b) for b in chosen2])
 
@@ -244,6 +248,124 @@ class TestUnitWeightIndependentSet:
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "raised\n"
+
+
+def reference_hopcroft_karp(rows, num2):
+    """bipartite._hopcroft_karp as written before its seed and DFS step
+    took the highest free bit: each row in order takes its lowest free
+    side-2 bit, and so does each DFS step."""
+    num1 = len(rows)
+    mate1, mate2 = [-1] * num1, [-1] * num2
+    full2 = free2 = (1 << num2) - 1
+    for a, row in enumerate(rows):
+        if nb := row & free2:
+            b = (nb & -nb).bit_length() - 1
+            mate1[a], mate2[b] = b, a
+            free2 ^= 1 << b
+    while True:
+        dist = [-1] * num1
+        queue = [a for a in range(num1) if mate1[a] < 0]
+        for a in queue:
+            dist[a] = 0
+        layer = [0] * (num1 + 1)
+        unseen = full2
+        limit = -1  # layer of the shortest augmenting paths, once seen
+        for a in queue:  # the loop also visits vertices appended below
+            d = dist[a]
+            if d > limit >= 0:
+                break
+            nb = rows[a] & unseen
+            unseen ^= nb
+            if nb & free2:
+                limit = d
+                nb ^= nb & free2
+            layer[d + 1] |= nb
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                c = mate2[low.bit_length() - 1]
+                dist[c] = d + 1
+                queue.append(c)
+        if limit < 0:
+            break
+        # ``stack`` holds the path's side-1 vertices, stack[j] on layer j,
+        # and ``via[j]`` the side-2 vertex between stack[j] and stack[j+1];
+        # dead vertices get dist -1.
+        for root in range(num1):
+            if dist[root] != 0:
+                continue
+            stack, via = [root], []
+            while stack:
+                a = stack[-1]
+                d = len(stack) - 1
+                nb = rows[a] & (free2 if d == limit else layer[d + 1])
+                if not nb:
+                    dist[a] = -1
+                    stack.pop()
+                    if via:
+                        layer[d] ^= 1 << via.pop()
+                    continue
+                b = (nb & -nb).bit_length() - 1
+                via.append(b)
+                if d < limit:
+                    stack.append(mate2[b])
+                    continue
+                # via[j] leaves layer j+1, its old mate's; the last is free
+                for j, (x, y) in enumerate(zip(stack, via)):
+                    mate1[x], mate2[y] = y, x
+                    dist[x] = -1
+                    if j < limit:
+                        layer[j + 1] ^= 1 << y
+                free2 ^= 1 << b
+                break
+    # The last BFS ran to the end, so the side-2 vertices it met are the
+    # union of the reached rows.
+    return mate1, mate2, [d >= 0 for d in dist], full2 ^ unseen
+
+
+def oracle_graphs():
+    """Every (rows, num2) that ``_hopcroft_karp`` gets from the oracle on
+    the deep-audit instances of the set-audit benchmark (verify and the
+    reduction audit, C(n, k) <= 35, k 2..6) and on the eight instances of
+    the verify-oracle benchmark."""
+    graphs = []
+    solve = bipartite._hopcroft_karp
+
+    def recording(rows, num2):
+        graphs.append((list(rows), num2))
+        return solve(rows, num2)
+
+    audit = [Params(2 * k - s + 1 + l, k, s) for k in range(2, 7)
+             for s in range(1, k) for l in range(10)
+             if comb(2 * k - s + 1 + l, k) <= 35]
+    verify = [Params(*t) for t in ((10, 4, 2), (11, 4, 2), (10, 5, 2),
+                                   (11, 5, 2), (12, 5, 2), (11, 5, 3),
+                                   (12, 5, 3), (12, 6, 3))]
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(bipartite, "_hopcroft_karp", recording)
+        for params in audit:
+            verify_theorem(params)
+            max_sum_nonempty_unreduced(params)
+        for params in verify:
+            verify_theorem(params)
+    return len(audit), graphs
+
+
+class TestAgainstLowestBitSeed:
+    def test_oracle_graphs_match_reference(self):
+        instances, graphs = oracle_graphs()
+        # 2,845 audit graphs (33 from verify, 2,812 from the audit), 28
+        # from the verify instances
+        assert (instances, len(graphs)) == (15, 2873)
+        for rows, num2 in graphs:
+            mate1, mate2, reached1, reached2 = \
+                bipartite._hopcroft_karp(rows, num2)
+            ref1, _, ref_reached1, ref_reached2 = \
+                reference_hopcroft_karp(rows, num2)
+            size = sum(b >= 0 for b in mate1)
+            assert size == sum(b >= 0 for b in ref1)
+            assert size == sum(a >= 0 for a in mate2)
+            assert reached1 == ref_reached1 and reached2 == ref_reached2
 
 
 @st.composite

@@ -305,6 +305,49 @@ class TestReductionAudit:
             assert reduced == max_sum_nonempty_unreduced(params), (n, k, s)
 
 
+#: Changes to the picked side-A masks of (7, 3, 2) that break the
+#: witness, with the message of the check that must catch them.
+BAD_WITNESSES = {
+    "repeated set": (lambda picked: picked + picked[:1], "repeats a set"),
+    "four elements": (lambda picked: picked + [0b11110], "not a 3-subset"),
+    "element 0": (lambda picked: picked + [0b111], "not a 3-subset"),
+    "element 8": (lambda picked: picked + [0b100000110], "not a 3-subset"),
+}
+
+
+class TestWitnessRows:
+    def test_rows_match_the_family_rendering(self):
+        # verify renders each witness row from the masks; the rows must be
+        # those of the Families that max_sum_nonempty returns
+        triples = [(n, k, s) for n in range(2, 12) for k in range(2, n + 1)
+                   if binom(n, k) <= 462 for s in range(1, k)]
+        triples += [(12, 5, 2), (12, 5, 3), (12, 6, 3)]
+        for n, k, s in triples:
+            params = Params(n, k, s)
+            value, families = max_sum_nonempty(params)
+            rows = [[",".join(map(str, m.elements)) for m in fam]
+                    for fam in families]
+            witness = verify_theorem(params).witness
+            assert witness == {"family_a_size": len(rows[0]),
+                               "family_b_size": len(rows[1]),
+                               "family_a": rows[0],
+                               "family_b": rows[1]}, (n, k, s)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_WITNESSES))
+    def test_bad_witness_raises(self, monkeypatch, bad):
+        change, message = BAD_WITNESSES[bad]
+        solve = oracle._mis_two_copies
+
+        def broken(masks1, masks2, rows):
+            value, picked1, picked2 = solve(masks1, masks2, rows)
+            return value, change(picked1), picked2
+
+        monkeypatch.setattr(oracle, "_mis_two_copies", broken)
+        for run in (max_sum_nonempty, verify_theorem):
+            with pytest.raises(FlowCertificateError, match=message):
+                run(Params(7, 3, 2))
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize("triple,want", [
         ((7, 3, 2), 14),

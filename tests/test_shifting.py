@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from crossint import (BadIndices, Family, KSet, Params, enumerate_ksubsets,
                       is_s_cross_intersecting, is_shifted, shift_closure,
-                      shift_family, shift_set)
+                      shift_family, shift_set, shifting)
 from crossint.extremal import build_extremal_family
 
 from conftest import random_cross_pair
@@ -51,9 +52,10 @@ def reference_shift(i, j, masks):
             | {m for m in masks if image(m) in masks})
 
 
-def reference_closure(family):
+def reference_closure(family, applied=None):
     """Lexicographic (i, j) scan that compares whole shifted families and
-    restarts after every change."""
+    restarts after every change; each applied pair is appended to
+    ``applied`` when given."""
     n, masks = family.n, family.masks()
     changed = True
     while changed:
@@ -64,16 +66,95 @@ def reference_closure(family):
                 if out != masks:
                     masks = out
                     changed = True
+                    if applied is not None:
+                        applied.append((i, j))
                     break
             if changed:
                 break
     return Family.from_masks(masks, n, family.k)
 
 
+@st.composite
+def families_up_to_12(draw):
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(5, n)))
+    universe = list(combinations(range(1, n + 1), k))
+    picked = draw(st.sets(st.sampled_from(universe), min_size=1,
+                          max_size=min(60, len(universe))))
+    return Family([KSet.from_elements(t, n) for t in picked], n=n, k=k)
+
+
+def set_audit_families():
+    """The 24 families that the set-audit benchmark shifts at seed 0."""
+    rng = random.Random("set-audit/0")
+    families = []
+    for _ in range(24):
+        n = rng.randint(9, 12)
+        k = rng.randint(3, 5)
+        members = rng.sample(list(combinations(range(1, n + 1), k)),
+                             rng.randint(20, 60))
+        families.append(Family([KSet.from_elements(t, n) for t in members],
+                               n=n, k=k))
+    return families
+
+
+def closure_with_shifts(family):
+    """shift_closure(family) and the (i, j) of each shift it applied."""
+    applied = []
+    move = shifting._move
+
+    def recording(i, j, masks, movers):
+        applied.append((i, j))
+        return move(i, j, masks, movers)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(shifting, "_move", recording)
+        return shift_closure(family), applied
+
+
 class TestAgainstReference:
     @given(families_up_to_9())
     def test_closure(self, family):
         assert shift_closure(family) == reference_closure(family)
+
+    @given(families_up_to_12())
+    def test_closure_applies_the_reference_shifts(self, family):
+        # one pass applies the same (i, j) sequence as a restarted scan
+        want = []
+        closed, applied = closure_with_shifts(family)
+        assert closed == reference_closure(family, want)
+        assert applied == want
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (5, 3), (6, 1)])
+    def test_closure_applies_the_reference_shifts_exhaustively(self, n, k):
+        # every family of k-subsets of [n]
+        universe = enumerate_ksubsets(n, k).members
+        for picks in range(1, 1 << len(universe)):
+            family = Family([m for b, m in enumerate(universe)
+                             if picks >> b & 1], n=n, k=k)
+            want = []
+            closed, applied = closure_with_shifts(family)
+            assert closed == reference_closure(family, want)
+            assert applied == want
+
+    def test_set_audit_families_scan_each_pair_once(self, monkeypatch):
+        # restarting the scan at (1, 2) after each of the 864 applied
+        # shifts made 26,100 _movers scans on these families; one pass
+        # makes 1,235, one per pair
+        families = set_audit_families()
+        scans = []
+        movers = shifting._movers
+
+        def counting(i, j, masks):
+            scans.append((i, j))
+            return movers(i, j, masks)
+
+        monkeypatch.setattr(shifting, "_movers", counting)
+        results = [closure_with_shifts(family) for family in families]
+        assert sum(len(applied) for _, applied in results) == 864
+        assert len(scans) == sum(comb(f.n, 2) for f in families) == 1_235
+        monkeypatch.undo()
+        assert all(is_shifted(closed) for closed, _ in results)
 
     @given(families_up_to_9())
     def test_every_shift_and_is_shifted(self, family):
