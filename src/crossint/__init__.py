@@ -13,20 +13,17 @@ __version__ = "0.1.0"
 from .errors import (BadIndices, ConfigError, CrossIntError,
                      DecompositionViolation, EnumerationTooLarge,
                      FlowCertificateError, GroundMismatch,
-                     IndexNotMeaningful, NotACover,
-                     NotAFractionalIndependentSet, ParamsOutOfRange,
+                     IndexNotMeaningful, ParamsOutOfRange,
                      ShiftSizeChanged, TypedEdgeNotInW)
 from .sets import (DEFAULT_ENUMERATION_CAP, Family, KSet, Params, binom,
                    enumerate_ksubsets, family_from_text, family_to_text,
-                   intersection_size, is_s_cross_intersecting,
-                   ksubset_masks)
+                   is_s_cross_intersecting, ksubset_masks)
 from .shifting import is_shifted, shift_closure, shift_family, shift_set
 from .extremal import (build_extremal_family, check_mirror_weight_ordering,
                        check_offset_weight_ordering, extremal_pair,
                        min_pair_intersection, orbit_weight, orbit_weights,
                        size_extremal_family)
-from .bipartite import (FlowNetwork, WeightedBipartiteGraph,
-                        check_fractional_weak_duality, max_flow,
+from .bipartite import (FlowNetwork, WeightedBipartiteGraph, max_flow,
                         max_weight_independent_set, min_weight_vertex_cover)
 from .orbitgraph import (ChainDecomposition, OrbitGraph, OrbitVertex,
                          TypedEdge, build_chain_decomposition,
@@ -35,8 +32,7 @@ from .orbitgraph import (ChainDecomposition, OrbitGraph, OrbitVertex,
                          path_mwis, validate_decomposition)
 from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis, max_sum_nonempty,
                      max_sum_nonempty_unreduced, verify_theorem)
-from .report import (LemmaReport, ReportBundle, Verdict, emit_report,
-                     skip_record)
+from .report import ReportBundle, Verdict, emit_report, skip_record
 from .sweep import CHECK_NAMES, SweepSpec, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,13 +17,12 @@ give the same cover the flow would.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import compress
 from operator import gt, or_
 
-from .errors import FlowCertificateError, NotACover, NotAFractionalIndependentSet
+from .errors import FlowCertificateError
 
 
 @dataclass(frozen=True)
@@ -450,31 +449,3 @@ def interval_independent_set(weights1, weights2, intervals):
     chosen2 = [b for b, r in enumerate(reached2) if not r]
     return sum(weights1) + sum(weights2) - value, chosen1, chosen2
 
-
-def check_fractional_weak_duality(g: WeightedBipartiteGraph, beta, cover) -> bool:
-    """Whether the weighted value of a fractional independent set is at
-    most the weight of an integral vertex cover.
-
-    ``beta`` maps vertex labels to rationals; missing labels count as 0.
-    Raises if beta is not a fractional independent set (labels in [0,1]
-    with beta_u + beta_v <= 1 on every edge) or if the cover misses an
-    edge.  Exact rational arithmetic throughout.
-    """
-    weights = dict(g.side1) | dict(g.side2)
-    vals = {}
-    for v in weights:
-        b = Fraction(beta.get(v, 0))
-        if not 0 <= b <= 1:
-            raise NotAFractionalIndependentSet(f"beta[{v!r}] = {b} not in [0, 1]")
-        vals[v] = b
-    for u, v in g.edges:
-        if vals[u] + vals[v] > 1:
-            raise NotAFractionalIndependentSet(
-                f"beta[{u!r}] + beta[{v!r}] = {vals[u] + vals[v]} > 1")
-    cover = set(cover)
-    for u, v in g.edges:
-        if u not in cover and v not in cover:
-            raise NotACover(f"edge ({u!r}, {v!r}) not covered")
-    fractional_value = sum(vals[v] * weights[v] for v in weights)
-    cover_weight = sum(weights[v] for v in cover)
-    return fractional_value <= cover_weight

@@ -45,14 +45,6 @@ class DecompositionViolation(CrossIntError):
         self.offending = offending
 
 
-class NotAFractionalIndependentSet(CrossIntError):
-    """Vertex labels violate 0 <= beta <= 1 or beta_u + beta_v <= 1 on an edge."""
-
-
-class NotACover(CrossIntError):
-    """A claimed vertex cover leaves some edge uncovered."""
-
-
 class FlowCertificateError(CrossIntError):
     """A flow, cover, independent-set or oracle answer failed its own
     certificate check; raised, not asserted, so python -O keeps it."""

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb
 
 from .errors import IndexNotMeaningful, ParamsOutOfRange
-from .report import LemmaReport
+from .report import Verdict
 from .sets import DEFAULT_ENUMERATION_CAP, Family, Params, binom, enumerate_ksubsets
 
 
@@ -95,37 +95,57 @@ def min_pair_intersection(i: int, t: int, params: Params) -> int:
     return max(0, i + t - k) + max(0, 2 * k - i - t - (n - k))
 
 
-def check_mirror_weight_ordering(params: Params):
+def _weight_law_verdict(claim: str, params: Params, checked: int,
+                        failed: list) -> Verdict:
+    """A weight law's verdict: the count of instances checked and, when
+    some fail, their dicts as the witness and the first three in the
+    detail."""
+    return Verdict(
+        claim=claim,
+        params=params,
+        formula_value=None,
+        oracle_value=None,
+        passed=not failed,
+        witness=failed or None,
+        detail=(f"{checked} instances checked"
+                + (f", {len(failed)} failed: {failed[:3]}" if failed else "")),
+    )
+
+
+def check_mirror_weight_ordering(params: Params) -> Verdict:
     """For each profile i in {s..k-1}, the weight dominates the weight of
     the mirrored profile k+s-1-i exactly when 2i <= k+s-1.
 
     The comparison 2i <= k+s-1 is kept in integers to avoid rounding.
-    Returns a LemmaReport with one instance per profile.
+    Returns a Verdict over the k-s profiles whose witness lists each
+    failing profile as a dict (i, partner, both weights, the two sides
+    of the law, ``"ok": False``), or None when all hold.
     """
     k, s = params.k, params.s
     weights = orbit_weights(params)
-    report = LemmaReport(claim="weights.mirror-ordering", params=params)
+    failed = []
     for i in range(s, k):
         j = k + s - 1 - i
         wi, wj = weights[i - s], weights[j - s]
         lhs = wi >= wj
         rhs = 2 * i <= k + s - 1
-        ok = lhs == rhs
-        report.instances.append({
-            "i": i, "partner": j, "weight_i": wi, "weight_partner": wj,
-            "dominates": lhs, "below_midpoint": rhs, "ok": ok,
-        })
-        if not ok:
-            report.passed = False
-    return report
+        if lhs != rhs:
+            failed.append({
+                "i": i, "partner": j, "weight_i": wi, "weight_partner": wj,
+                "dominates": lhs, "below_midpoint": rhs, "ok": False,
+            })
+    return _weight_law_verdict("weights.mirror-ordering", params, k - s,
+                               failed)
 
 
-def check_offset_weight_ordering(params: Params):
+def check_offset_weight_ordering(params: Params) -> Verdict:
     """For each offset i >= 1 with both profiles meaningful, the weight at
     floor((k-l)/2) - i is at most the weight at floor((k+s-1)/2) + i.
 
     Vacuously passes when no offset keeps both profiles in {s..k-1}.
-    Requires slack l >= 0.
+    Requires slack l >= 0.  Returns a Verdict whose witness lists each
+    failing offset as a dict (offset, both profiles and their weights,
+    ``"ok": False``), or None when all hold.
     """
     k, s, l = params.k, params.s, params.l
     if l < 0:
@@ -133,19 +153,17 @@ def check_offset_weight_ordering(params: Params):
     a = (k - l) // 2
     b = (k + s - 1) // 2
     weights = orbit_weights(params)
-    report = LemmaReport(claim="weights.offset-ordering", params=params)
-    i = 1
-    while a - i >= s and b + i <= k - 1:
+    offsets = max(0, min(a - s, k - 1 - b))
+    failed = []
+    for i in range(1, offsets + 1):
         wlow, whigh = weights[a - i - s], weights[b + i - s]
-        ok = wlow <= whigh
-        report.instances.append({
-            "offset": i, "low": a - i, "high": b + i,
-            "weight_low": wlow, "weight_high": whigh, "ok": ok,
-        })
-        if not ok:
-            report.passed = False
-        i += 1
-    return report
+        if wlow > whigh:
+            failed.append({
+                "offset": i, "low": a - i, "high": b + i,
+                "weight_low": wlow, "weight_high": whigh, "ok": False,
+            })
+    return _weight_law_verdict("weights.offset-ordering", params, offsets,
+                               failed)
 
 
 def extremal_pair(params: Params, cap: int = DEFAULT_ENUMERATION_CAP):

@@ -8,7 +8,7 @@ import csv
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .sets import Params
 
@@ -21,7 +21,11 @@ def _params_fields(params):
 
 @dataclass
 class Verdict:
-    """Outcome of one verification claim on one parameter instance."""
+    """Outcome of one verification claim on one parameter instance: the
+    one record type of every pass or fail record a sweep writes.
+
+    Its record's ``millis`` is ``None``; the sweep stamps the time when
+    the check hands the record over."""
 
     claim: str
     params: Params | None
@@ -30,7 +34,6 @@ class Verdict:
     passed: bool
     witness: object = None
     detail: str = ""
-    millis: float | None = None
 
     def to_record(self, check: str | None = None) -> dict:
         rec = _params_fields(self.params)
@@ -42,42 +45,18 @@ class Verdict:
             "oracle_value": self.oracle_value,
             "detail": self.detail,
             "witness": self.witness,
-            "millis": self.millis,
-        })
-        return rec
-
-
-@dataclass
-class LemmaReport:
-    """Direct evaluation of a weight-ordering claim over all its instances."""
-
-    claim: str
-    params: Params
-    instances: list = field(default_factory=list)
-    passed: bool = True
-
-    def to_record(self, check: str | None = None) -> dict:
-        rec = _params_fields(self.params)
-        failed = [inst for inst in self.instances if not inst.get("ok", True)]
-        rec.update({
-            "check": check or self.claim,
-            "claim": self.claim,
-            "status": "pass" if self.passed else "fail",
-            "formula_value": None,
-            "oracle_value": None,
-            "detail": (f"{len(self.instances)} instances checked"
-                       + (f", {len(failed)} failed: {failed[:3]}" if failed else "")),
-            "witness": failed or None,
             "millis": None,
         })
         return rec
 
 
-def skip_record(params, check: str, reason: str) -> dict:
+def skip_record(params, check: str, reason: str, claim: str | None = None) -> dict:
+    """The record of a check that did not run; ``claim`` defaults to the
+    check's name."""
     rec = _params_fields(params)
     rec.update({
         "check": check,
-        "claim": check,
+        "claim": claim or check,
         "status": "skip",
         "formula_value": None,
         "oracle_value": None,

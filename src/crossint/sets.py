@@ -77,13 +77,6 @@ class KSet:
         return "{%s}" % ",".join(str(e) for e in self.elements)
 
 
-def intersection_size(a: KSet, b: KSet) -> int:
-    """|A ∩ B| for two sets over the same ground."""
-    if a.n != b.n:
-        raise GroundMismatch(f"ground sizes differ: {a.n} vs {b.n}")
-    return (a.mask & b.mask).bit_count()
-
-
 class Family:
     """A duplicate-free collection of k-subsets of [n], iterated in
     lexicographic order of the sorted element tuples."""

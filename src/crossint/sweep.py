@@ -1,7 +1,8 @@
 """Batch driver: run selected checks over a parameter grid.
 
 Checks are registered by name; every check maps one parameter triple to
-a list of report records (pass / fail / skip).  Instances are
+report records (pass / fail / skip), yielded one at a time so that the
+sweep times each as it arrives.  Instances are
 independent, so a sweep can fan out over worker processes.  Records
 come out one triple at a time, in a fixed order that never depends on
 scheduling, so a caller can write them out as they arrive.
@@ -97,91 +98,78 @@ class SweepSpec:
         }
 
 
-def _timed(record: dict, start: float) -> dict:
-    record["millis"] = (time.perf_counter() - start) * 1000.0
-    return record
+#: Why lemma1, lemma2, chains and biregular skip a triple.
+NEEDS_ORBIT_LAYER = "inapplicable: needs s >= 2 and slack l >= 0"
 
 
 def _check_theorem(params: Params, spec: SweepSpec):
-    start = time.perf_counter()
     if binom(params.n, params.k) > spec.cap:
-        return [skip_record(params, "theorem",
-                            f"skipped: cap (C(n,k) > {spec.cap})")]
-    records = [_timed(verify_theorem(params, cap=spec.cap).to_record("theorem"),
-                      start)]
+        yield skip_record(params, "theorem",
+                          f"skipped: cap (C(n,k) > {spec.cap})")
+        return
+    verdict = verify_theorem(params, cap=spec.cap)
+    yield verdict.to_record("theorem")
     if spec.deep_audit and binom(params.n, params.k) > DEEP_AUDIT_CAP:
-        records.append(skip_record(params, "theorem", "skipped: deep-audit cap "
-                                   f"(C(n,k) > {DEEP_AUDIT_CAP})")
-                       | {"claim": "theorem.reduction-audit"})
+        yield skip_record(params, "theorem", "skipped: deep-audit cap "
+                          f"(C(n,k) > {DEEP_AUDIT_CAP})",
+                          claim="theorem.reduction-audit")
     elif spec.deep_audit:
-        reduced = records[0]["oracle_value"]
-        start_audit = time.perf_counter()
         unreduced = max_sum_nonempty_unreduced(params, cap=spec.cap)
-        records.append(_timed(Verdict(
+        yield Verdict(
             claim="theorem.reduction-audit",
             params=params,
-            formula_value=reduced,
+            formula_value=verdict.oracle_value,
             oracle_value=unreduced,
-            passed=reduced == unreduced,
+            passed=verdict.oracle_value == unreduced,
             detail="canonical-anchor oracle vs all-anchor-pairs oracle",
-        ).to_record("theorem"), start_audit))
-    return records
+        ).to_record("theorem")
 
 
 def _check_lemma1(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
-        return [skip_record(params, "lemma1",
-                            "inapplicable: needs s >= 2 and slack l >= 0")]
-    records = []
-    start = time.perf_counter()
+        yield skip_record(params, "lemma1", NEEDS_ORBIT_LAYER)
+        return
     graph, s = build_orbit_graph(params), params.s
     weight = interval_independent_set(graph.weights, graph.weights, [
         (lo - s, hi - s) for lo, hi in graph.intervals])[0]
     want = size_extremal_family(params) - 1
-    records.append(_timed(Verdict(
+    yield Verdict(
         claim="lemma1.orbit-certificate",
         params=params,
         formula_value=want,
         oracle_value=weight,
         passed=weight == want,
         detail="orbit-graph MWIS vs extremal family size minus one",
-    ).to_record("lemma1"), start))
+    ).to_record("lemma1")
 
     if binom(params.n, params.k) <= spec.cap:
-        start = time.perf_counter()
         mis = conflict_graph_mis(params, cap=spec.cap)
-        records.append(_timed(Verdict(
+        yield Verdict(
             claim="lemma1.enumerated-mis",
             params=params,
             formula_value=weight,
             oracle_value=mis,
             passed=mis == weight,
             detail="set-level conflict-graph MIS vs orbit-level MWIS",
-        ).to_record("lemma1"), start))
-    return records
+        ).to_record("lemma1")
 
 
 def _check_lemma2(params: Params, spec: SweepSpec):
     # the mirror law is proved for s >= 2 only: at s = 1, l = 0 every
     # mirror pair ties
     if params.s < 2 or params.l < 0:
-        return [skip_record(params, "lemma2",
-                            "inapplicable: needs s >= 2 and slack l >= 0")]
-    records = []
+        yield skip_record(params, "lemma2", NEEDS_ORBIT_LAYER)
+        return
     for check in (check_mirror_weight_ordering, check_offset_weight_ordering):
-        start = time.perf_counter()
-        records.append(_timed(check(params).to_record("lemma2"), start))
-    return records
+        yield check(params).to_record("lemma2")
 
 
 def _check_chains(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
-        return [skip_record(params, "chains",
-                            "inapplicable: needs s >= 2 and slack l >= 0")]
-    start = time.perf_counter()
+        yield skip_record(params, "chains", NEEDS_ORBIT_LAYER)
+        return
     dec = build_chain_decomposition(params)
-    verdict = validate_decomposition(dec, dec.graph)
-    return [_timed(verdict.to_record("chains"), start)]
+    yield validate_decomposition(dec, dec.graph).to_record("chains")
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:
@@ -209,8 +197,8 @@ def _check_edges(params: Params, spec: SweepSpec):
     Each orbit is enumerated once per triple, and each unordered pair
     once, since |x ∩ y| = |y ∩ x|."""
     if params.l < 0:
-        return [skip_record(params, "edges", "inapplicable: slack l < 0")]
-    start = time.perf_counter()
+        yield skip_record(params, "edges", "inapplicable: slack l < 0")
+        return
     profiles = range(params.s, params.k)
     graph = build_orbit_graph(params) if params.s >= 2 else None
     exhaustive = params.n <= spec.exhaustive_n_cap
@@ -233,7 +221,7 @@ def _check_edges(params: Params, spec: SweepSpec):
               + ("all routes" if exhaustive else "formula routes")
               + ("" if exhaustive else " (enumeration skipped: n > "
                  f"{spec.exhaustive_n_cap})"))
-    verdict = Verdict(
+    yield Verdict(
         claim="edges.rule-equivalence",
         params=params,
         formula_value=None,
@@ -241,15 +229,13 @@ def _check_edges(params: Params, spec: SweepSpec):
         passed=not mismatches,
         witness=mismatches or None,
         detail=detail if not mismatches else f"mismatches: {mismatches[:3]}",
-    )
-    return [_timed(verdict.to_record("edges"), start)]
+    ).to_record("edges")
 
 
 def _check_biregular(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
-        return [skip_record(params, "biregular",
-                            "inapplicable: needs s >= 2 and slack l >= 0")]
-    start = time.perf_counter()
+        yield skip_record(params, "biregular", NEEDS_ORBIT_LAYER)
+        return
     edges = sorted(build_orbit_graph(params).edges)
     failures = []
     degrees = {}
@@ -264,8 +250,9 @@ def _check_biregular(params: Params, spec: SweepSpec):
             if not verdict.passed:
                 failures.append((i, t, verdict.detail))
     except EnumerationTooLarge as exc:
-        return [skip_record(params, "biregular", f"skipped: cap ({exc})")]
-    verdict = Verdict(
+        yield skip_record(params, "biregular", f"skipped: cap ({exc})")
+        return
+    yield Verdict(
         claim="edges.biregular-premise",
         params=params,
         formula_value=None,
@@ -274,27 +261,26 @@ def _check_biregular(params: Params, spec: SweepSpec):
         witness={"degrees": degrees},
         detail=(f"{len(edges)} conflicting orbit pairs, all biregular"
                 if not failures else f"failures: {failures[:3]}"),
-    )
-    return [_timed(verdict.to_record("biregular"), start)]
+    ).to_record("biregular")
 
 
 def _check_hm(params: Params, spec: SweepSpec):
     if params.s != 1:
-        return [skip_record(params, "hm", "inapplicable: needs s = 1")]
+        yield skip_record(params, "hm", "inapplicable: needs s = 1")
+        return
     if params.l < 0:
-        return [skip_record(params, "hm", "inapplicable: slack l < 0")]
-    start = time.perf_counter()
+        yield skip_record(params, "hm", "inapplicable: slack l < 0")
+        return
     n, k = params.n, params.k
     identity = binom(n, k) - binom(n - k, k)
-    verdict = Verdict(
+    yield Verdict(
         claim="hm.size-identity",
         params=params,
         formula_value=identity,
         oracle_value=size_extremal_family(params),
         passed=size_extremal_family(params) == identity,
         detail="s=1 extremal size vs C(n,k) - C(n-k,k)",
-    )
-    return [_timed(verdict.to_record("hm"), start)]
+    ).to_record("hm")
 
 
 CHECKS = {
@@ -309,12 +295,23 @@ CHECKS = {
 
 
 def _run_instance(spec: SweepSpec, triple) -> list:
-    """One triple's records, sorted by (check, claim)."""
+    """One triple's records, sorted by (check, claim).
+
+    This is the one place a record's ``millis`` is set: a check yields
+    its records as it produces them, and each pass or fail record gets
+    the time since the check started or yielded its previous record.
+    Skip records keep ``None``."""
     n, k, s = triple
     params = Params(n, k, s)
     records = []
     for name in spec.checks:
-        records.extend(CHECKS[name](params, spec))
+        start = time.perf_counter()
+        for record in CHECKS[name](params, spec):
+            now = time.perf_counter()
+            if record["status"] != "skip":
+                record["millis"] = (now - start) * 1000.0
+            records.append(record)
+            start = now
     records.sort(key=lambda r: (r["check"], r["claim"]))
     return records
 

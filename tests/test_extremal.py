@@ -5,7 +5,7 @@ from operator import attrgetter
 import pytest
 
 import crossint.extremal as extremal
-from crossint import (IndexNotMeaningful, LemmaReport, Params,
+from crossint import (IndexNotMeaningful, Params,
                       ParamsOutOfRange, binom,
                       build_extremal_family, check_mirror_weight_ordering,
                       check_offset_weight_ordering, extremal_pair,
@@ -184,22 +184,36 @@ class TestMinPairIntersection:
                     enumerated_min_intersection(params, i, t)
 
 
+def tamper_weights(monkeypatch, weights):
+    """Have both weight laws read ``weights`` as w(s..k)."""
+    monkeypatch.setattr(extremal, "orbit_weights", lambda params: list(weights))
+
+
 class TestMirrorWeightOrdering:
     def test_9_4_2(self):
-        report = check_mirror_weight_ordering(Params(9, 4, 2))
-        assert report.passed
-        by_i = {inst["i"]: inst for inst in report.instances}
-        assert by_i[2]["weight_i"] == 60 and by_i[2]["weight_partner"] == 20
-        assert by_i[2]["dominates"] and by_i[2]["below_midpoint"]
-        assert by_i[3]["weight_i"] == 20 and by_i[3]["weight_partner"] == 60
-        assert not by_i[3]["dominates"] and not by_i[3]["below_midpoint"]
+        params = Params(9, 4, 2)
+        assert orbit_weights(params) == [60, 20, 1]
+        verdict = check_mirror_weight_ordering(params)
+        assert verdict.passed and verdict.witness is None
+        assert verdict.detail == "2 instances checked"
+
+    def test_9_4_2_swapped_weights_fail_both_profiles(self, monkeypatch):
+        tamper_weights(monkeypatch, [20, 60, 1])
+        verdict = check_mirror_weight_ordering(Params(9, 4, 2))
+        assert not verdict.passed
+        assert verdict.witness == [
+            {"i": 2, "partner": 3, "weight_i": 20, "weight_partner": 60,
+             "dominates": False, "below_midpoint": True, "ok": False},
+            {"i": 3, "partner": 2, "weight_i": 60, "weight_partner": 20,
+             "dominates": True, "below_midpoint": False, "ok": False}]
 
     def test_7_3_2_self_mirror(self):
-        report = check_mirror_weight_ordering(Params(7, 3, 2))
-        assert report.passed
-        (inst,) = report.instances
-        assert inst["i"] == inst["partner"] == 2
-        assert inst["weight_i"] == inst["weight_partner"] == 12
+        # the one profile 2 is its own mirror: w(2) >= w(2) always holds
+        params = Params(7, 3, 2)
+        assert orbit_weights(params) == [12, 1]
+        verdict = check_mirror_weight_ordering(params)
+        assert verdict.passed and verdict.witness is None
+        assert verdict.detail == "1 instances checked"
 
     def test_11_6_2(self):
         assert check_mirror_weight_ordering(Params(11, 6, 2)).passed
@@ -244,41 +258,160 @@ class TestMirrorLawProof:
                             assert w_now[a] * w_nxt[b] < w_nxt[a] * w_now[b]
 
 
+def reference_lemma_record(claim, params, instances, passed, check=None):
+    """``LemmaReport.to_record`` as it was before the weight laws
+    returned a ``Verdict``: the report held every instance's dict, and
+    the record kept the failing ones."""
+    failed = [inst for inst in instances if not inst.get("ok", True)]
+    return {
+        "n": params.n, "k": params.k, "s": params.s, "l": params.l,
+        "check": check or claim,
+        "claim": claim,
+        "status": "pass" if passed else "fail",
+        "formula_value": None,
+        "oracle_value": None,
+        "detail": (f"{len(instances)} instances checked"
+                   + (f", {len(failed)} failed: {failed[:3]}" if failed else "")),
+        "witness": failed or None,
+        "millis": None,
+    }
+
+
+def reference_mirror_weight_ordering(params, check=None):
+    """The mirror law's record as it was before the weight laws
+    returned a ``Verdict``: one seven-key dict per profile."""
+    k, s = params.k, params.s
+    weights = extremal.orbit_weights(params)
+    instances, passed = [], True
+    for i in range(s, k):
+        j = k + s - 1 - i
+        wi, wj = weights[i - s], weights[j - s]
+        lhs = wi >= wj
+        rhs = 2 * i <= k + s - 1
+        ok = lhs == rhs
+        instances.append({
+            "i": i, "partner": j, "weight_i": wi, "weight_partner": wj,
+            "dominates": lhs, "below_midpoint": rhs, "ok": ok,
+        })
+        if not ok:
+            passed = False
+    return reference_lemma_record("weights.mirror-ordering", params,
+                                  instances, passed, check)
+
+
+def reference_offset_weight_ordering(params, check=None):
+    """The offset law's record as it was before the weight laws
+    returned a ``Verdict``: one dict per offset, stepping until a
+    profile leaves {s..k-1}."""
+    k, s, l = params.k, params.s, params.l
+    if l < 0:
+        raise ParamsOutOfRange(f"need slack l >= 0, got l={l}")
+    a = (k - l) // 2
+    b = (k + s - 1) // 2
+    weights = extremal.orbit_weights(params)
+    instances, passed = [], True
+    i = 1
+    while a - i >= s and b + i <= k - 1:
+        wlow, whigh = weights[a - i - s], weights[b + i - s]
+        ok = wlow <= whigh
+        instances.append({
+            "offset": i, "low": a - i, "high": b + i,
+            "weight_low": wlow, "weight_high": whigh, "ok": ok,
+        })
+        if not ok:
+            passed = False
+        i += 1
+    return reference_lemma_record("weights.offset-ordering", params,
+                                  instances, passed, check)
+
+
+#: The orbit-sweep benchmark's grid: k <= 30, s >= 2, l <= 30.
+ORBIT_SWEEP_GRID = [Params(2 * k - s + 1 + l, k, s) for k in range(3, 31)
+                    for s in range(2, k) for l in range(0, 31)]
+
+
 class TestLemmaReportRecord:
+    """The weight laws' records against the references above."""
+
     def test_passing_report_carries_no_witness(self):
-        report = check_mirror_weight_ordering(Params(9, 4, 2))
-        rec = report.to_record()
+        rec = check_mirror_weight_ordering(Params(9, 4, 2)).to_record()
         assert rec["status"] == "pass"
         assert rec["witness"] is None
         assert rec["detail"] == "2 instances checked"
-        assert [inst["i"] for inst in report.instances] == [2, 3]
+        assert rec == reference_mirror_weight_ordering(Params(9, 4, 2))
 
-    @pytest.mark.parametrize("failing", [(3,), (3, 5)])
-    def test_witness_is_the_failing_instances(self, failing):
-        instances = [{"i": i, "ok": i not in failing} for i in range(2, 7)]
-        bad = [inst for inst in instances if not inst["ok"]]
-        report = LemmaReport(claim="weights.mirror-ordering",
-                             params=Params(13, 6, 2), instances=instances,
-                             passed=False)
-        rec = report.to_record("lemma2")
+    @pytest.mark.parametrize("failing", [(3, 4), (2, 3, 4, 5)])
+    def test_witness_is_the_failing_instances(self, failing, monkeypatch):
+        # (13, 6, 2): profiles 2..5, mirror pairs 2-5 and 3-4, midpoint
+        # 3.5.  Lifting the upper profile of a pair above every weight
+        # breaks the law at both ends of that pair.
+        params = Params(13, 6, 2)
+        weights = orbit_weights(params)
+        top = max(weights)
+        for i in failing:
+            if 2 * i > params.k + params.s - 1:
+                weights[i - params.s] = top + i
+        tamper_weights(monkeypatch, weights)
+        rec = check_mirror_weight_ordering(params).to_record("lemma2")
         assert (rec["check"], rec["status"]) == ("lemma2", "fail")
-        assert rec["witness"] == bad
+        bad = rec["witness"]
+        assert [inst["i"] for inst in bad] == list(failing)
+        assert all(inst["ok"] is False for inst in bad)
         assert rec["detail"] == \
-            f"5 instances checked, {len(bad)} failed: {bad}"
-        assert report.instances == instances
+            f"4 instances checked, {len(bad)} failed: {bad[:3]}"
+        assert rec == reference_mirror_weight_ordering(params, "lemma2")
+
+    def test_equals_reference_on_the_orbit_sweep_grid(self):
+        for params in ORBIT_SWEEP_GRID:
+            assert check_mirror_weight_ordering(params).to_record("lemma2") \
+                == reference_mirror_weight_ordering(params, "lemma2"), params
+            assert check_offset_weight_ordering(params).to_record("lemma2") \
+                == reference_offset_weight_ordering(params, "lemma2"), params
+
+    def test_equals_reference_under_tampered_weights(self, monkeypatch, rng):
+        # random weights break both laws on many triples; every failing
+        # dict, the count and the first three in the detail must match
+        weights_of = orbit_weights
+        failed = {"weights.mirror-ordering": 0, "weights.offset-ordering": 0}
+        for params in ORBIT_SWEEP_GRID:
+            if params.k > 16:
+                continue
+            weights = [rng.randint(1, 50) for _ in weights_of(params)]
+            tamper_weights(monkeypatch, weights)
+            for check, reference in (
+                    (check_mirror_weight_ordering,
+                     reference_mirror_weight_ordering),
+                    (check_offset_weight_ordering,
+                     reference_offset_weight_ordering)):
+                rec = check(params).to_record("lemma2")
+                assert rec == reference(params, "lemma2"), params
+                failed[rec["claim"]] += rec["status"] == "fail"
+        assert min(failed.values()) > 100, failed
 
 
 class TestOffsetWeightOrdering:
     def test_9_4_2_vacuous(self):
-        report = check_offset_weight_ordering(Params(9, 4, 2))
-        assert report.passed and report.instances == []
+        verdict = check_offset_weight_ordering(Params(9, 4, 2))
+        assert verdict.passed and verdict.witness is None
+        assert verdict.detail == "0 instances checked"
 
     def test_11_6_2(self):
-        report = check_offset_weight_ordering(Params(11, 6, 2))
-        assert report.passed
-        (inst,) = report.instances
-        assert (inst["low"], inst["high"]) == (2, 4)
-        assert (inst["weight_low"], inst["weight_high"]) == (75, 150)
+        # l = 0: the one offset pairs profiles 2 and 4
+        params = Params(11, 6, 2)
+        weights = orbit_weights(params)
+        assert (weights[2 - 2], weights[4 - 2]) == (75, 150)
+        verdict = check_offset_weight_ordering(params)
+        assert verdict.passed and verdict.detail == "1 instances checked"
+
+    def test_11_6_2_swapped_weights_fail(self, monkeypatch):
+        weights = orbit_weights(Params(11, 6, 2))
+        weights[0], weights[2] = weights[2], weights[0]
+        tamper_weights(monkeypatch, weights)
+        verdict = check_offset_weight_ordering(Params(11, 6, 2))
+        assert not verdict.passed
+        assert verdict.witness == [
+            {"offset": 1, "low": 2, "high": 4, "weight_low": 150,
+             "weight_high": 75, "ok": False}]
 
     def test_10_4_2(self):
         assert check_offset_weight_ordering(Params(10, 4, 2)).passed

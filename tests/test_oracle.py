@@ -358,7 +358,8 @@ class TestVerifyTheorem:
         verdict = verify_theorem(Params(*triple))
         assert verdict.passed
         assert verdict.formula_value == verdict.oracle_value == want
-        assert verdict.millis is not None
+        # the sweep times the record; the verdict carries no time
+        assert verdict.to_record()["millis"] is None
         assert verdict.witness["family_a_size"] + \
             verdict.witness["family_b_size"] == want
 

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from crossint import (Family, GroundMismatch, KSet, Params, ParamsOutOfRange,
                       binom, enumerate_ksubsets, family_from_text,
-                      family_to_text, intersection_size,
-                      is_s_cross_intersecting, ksubset_masks)
+                      family_to_text, is_s_cross_intersecting,
+                      ksubset_masks)
 from crossint.extremal import build_extremal_family
 
 
@@ -103,20 +103,31 @@ class TestEnumeration:
             ksubset_masks(3, 4)
 
 
+def meets(a, b, s):
+    """Whether the one-set families {a} and {b} are s-cross-intersecting,
+    that is, whether |a ∩ b| >= s."""
+    return is_s_cross_intersecting(Family([a]), Family([b]), s)[0]
+
+
 class TestIntersection:
+    """The intersection count that is_s_cross_intersecting compares
+    with s, read at its boundary on one-set families."""
+
     def test_basic(self):
-        assert intersection_size(kset(1, 2, 3, n=5), kset(2, 3, 4, n=5)) == 2
+        a, b = kset(1, 2, 3, n=5), kset(2, 3, 4, n=5)
+        assert meets(a, b, 2) and not meets(a, b, 3)
 
     def test_identity(self):
         a = kset(1, 2, 3, n=5)
-        assert intersection_size(a, a) == a.k
+        assert meets(a, a, a.k) and not meets(a, a, a.k + 1)
 
     def test_disjoint(self):
-        assert intersection_size(kset(1, 2, n=4), kset(3, 4, n=4)) == 0
+        a, b = kset(1, 2, n=4), kset(3, 4, n=4)
+        assert meets(a, b, 0) and not meets(a, b, 1)
 
     def test_ground_mismatch(self):
         with pytest.raises(GroundMismatch):
-            intersection_size(kset(1, 2, n=4), kset(1, 2, n=5))
+            meets(kset(1, 2, n=4), kset(1, 2, n=5), 1)
 
 
 class TestCrossIntersecting:

@@ -6,13 +6,13 @@ import time
 
 import pytest
 
-from crossint import (ConfigError, LemmaReport, Params, ReportBundle,
-                      SweepSpec, binom, emit_report, orbitgraph, run_sweep,
-                      sweep)
+from crossint import (ConfigError, Params, ReportBundle, SweepSpec, binom,
+                      emit_report, extremal, orbitgraph, run_sweep, sweep)
 from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
 from crossint.oracle import _conflict_rows, _iter_conflict_rows
 from crossint.report import CSV_COLUMNS, Verdict, skip_record
+from crossint.sweep import CHECK_NAMES
 
 from conftest import break_chain_decompositions
 
@@ -149,6 +149,36 @@ class TestRunSweep:
         assert audited["millis"] >= 300
         assert theorem["millis"] < 300
 
+    def test_only_pass_and_fail_records_are_timed(self):
+        # every check, with pass, fail (broken chains) and skip records
+        spec = SweepSpec(ks=(3, 4, 5), ss=(1, 2), ls=(0, 1), checks=CHECK_NAMES,
+                         cap=30, deep_audit=True)
+        seen = set()
+        with pytest.MonkeyPatch.context() as patch:
+            break_chain_decompositions(patch)
+            for rec in sweep.iter_records(spec):
+                seen.add(rec["status"])
+                if rec["status"] == "skip":
+                    assert rec["millis"] is None, rec
+                else:
+                    assert type(rec["millis"]) is float and rec["millis"] >= 0, rec
+        assert seen == {"pass", "fail", "skip"}
+
+    @pytest.mark.parametrize("name,detail", [
+        ("theorem", "skipped: cap (C(n,k) > 1)"),
+        ("lemma1", sweep.NEEDS_ORBIT_LAYER),
+        ("lemma2", sweep.NEEDS_ORBIT_LAYER),
+        ("chains", sweep.NEEDS_ORBIT_LAYER),
+        ("edges", "inapplicable: slack l < 0"),
+        ("biregular", sweep.NEEDS_ORBIT_LAYER),
+        ("hm", "inapplicable: needs s = 1")])
+    def test_direct_call_yields_its_skip_record(self, name, detail):
+        # (4, 3, 2) has slack l = -1 and C(4, 3) = 4 > cap
+        params = Params(4, 3, 2)
+        spec = SweepSpec(ks=(3,), ss=(2,), ns=(4,), checks=(name,), cap=1)
+        assert list(sweep.CHECKS[name](params, spec)) == \
+            [skip_record(params, name, detail)]
+
     def test_deep_audit_above_its_cap_is_a_skip(self):
         spec = SweepSpec(ks=(4,), ss=(2,), ns=(9,), checks=("theorem",),
                          deep_audit=True)
@@ -218,14 +248,14 @@ class TestEmitReport:
     def mixed_bundle(self):
         """Theorem and biregular (dict witnesses), passing lemma2 and
         chains (no witness), hm skips, and one failing lemma2 record
-        (a list witness)."""
+        (a list witness) from swapped orbit weights."""
         spec = SweepSpec(ks=(4,), ss=(2,), ls=(0, 1),
                          checks=("theorem", "biregular", "lemma2", "chains",
                                  "hm"))
         bundle = run_sweep(spec)
-        failing = LemmaReport(claim="weights.mirror-ordering",
-                              params=Params(7, 4, 2),
-                              instances=[{"i": 2, "ok": False}], passed=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(extremal, "orbit_weights", lambda params: [12, 18, 1])
+            failing = extremal.check_mirror_weight_ordering(Params(7, 4, 2))
         bundle.records.append(failing.to_record("lemma2"))
         kinds = {(rec["check"], rec["status"], type(rec["witness"]).__name__)
                  for rec in bundle.records}
@@ -356,7 +386,7 @@ class TestEdgesRoute:
             for params in edges_triples(10):
                 calls.clear()
                 built.clear()
-                records = sweep._check_edges(params, spec)
+                records = list(sweep._check_edges(params, spec))
                 profiles = range(params.s, params.k)
                 if params.l < 0:
                     assert calls == built == []
@@ -449,7 +479,7 @@ class TestBiregularOncePerUnorderedPair:
             if params.s < 2:
                 continue
             calls.clear()
-            records = sweep._check_biregular(params, self.spec)
+            records = list(sweep._check_biregular(params, self.spec))
             assert strip_timings(records) == strip_timings(
                 ordered_reference(params, self.spec)), params
             if records[0]["status"] == "skip":
