@@ -24,6 +24,17 @@ edge and at most one other typed edge, so the typed subgraph is a union
 of even paths that alternate the two kinds, walked through per-profile
 index arrays from their side-1 ends; whether every path carries an
 equal-weight middle edge is exactly what validate_decomposition checks.
+
+In offsets j = i-s, with m = k-s and d = k-2s-l, all of this depends on
+(m, max(0, d)) alone, the class of the triple.  Profiles are 0..m-1;
+the interval of j is [max(0, d-j), m-1-j]; mirror pairs are j+u = m-1;
+the band is [max(0, ceil(d/2)), floor(m/2)); the offset anchors are
+floor(d/2) and ceil((m-1)/2) for odd d, and d/2-1 and floor((m-1)/2)+1
+for even d.  When d <= 0 every interval starts at 0, the band at 0 and
+the low anchor below 0, so no offset edge exists: everything collapses
+to d = 0.  So the typed edges, the paths and every structural check of
+validate_decomposition are the same, in offsets, across a class, and
+only the weights w(s+j) differ from triple to triple.
 """
 
 from dataclasses import dataclass
@@ -64,6 +75,13 @@ class OrbitGraph:
 
     def profiles(self):
         return tuple(range(self.params.s, self.params.s + len(self.weights)))
+
+    @property
+    def offset_intervals(self) -> tuple:
+        """The intervals with every profile taken as its offset i - s."""
+        s = self.params.s
+        # from a list, so the tuple is allocated at its final size
+        return tuple([(lo - s, hi - s) for lo, hi in self.intervals])
 
     def has_edge(self, i: int, t: int) -> bool:
         j = i - self.params.s
@@ -182,6 +200,18 @@ class ChainDecomposition:
     graph: OrbitGraph  # the graph the paths were taken from
     typed: tuple       # classify_edges(graph)
 
+    def offset_form(self) -> tuple:
+        """(paths, edge types, middles, graph intervals) with every vertex
+        as its position in ``side1 + side2``, (side - 1) * (k - s) + i - s,
+        and every interval end as an offset i - s: the same for all
+        triples of one class (see the module docstring)."""
+        s, m = self.params.s, len(self.graph.weights)
+        at = lambda v: (v.side - 1) * m + v.i - s
+        return (tuple(tuple(map(at, path)) for path in self.paths),
+                self.edge_types,
+                tuple((at(a), at(b), ty) for a, b, ty in self.middles),
+                self.graph.offset_intervals)
+
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
     """The typed subgraph as paths, read straight off its typed edges.
@@ -257,8 +287,10 @@ def path_mwis(weights) -> int:
 
 
 def _path_failures(path, weights, edge_types, middle, best):
-    """Weight-profile checks for one path with vertex weights ``weights``
-    and MWIS ``best``; returns failure strings."""
+    """The checks of one path with vertex weights ``weights`` and MWIS
+    ``best``: its shape around the stored middle edge, then its
+    ``_weight_failures``, then where its mirror edges sit.  Returns
+    failure strings."""
     if len(path) % 2 != 0:
         return [f"odd vertex count {len(path)}"]
     failures = []
@@ -272,10 +304,28 @@ def _path_failures(path, weights, edge_types, middle, best):
         failures.append(
             f"middle edge {left.name()}--{right.name()} has type {mid_type} "
             f"and is not a fixed-point mirror edge")
+    failures += _weight_failures(weights, best, left, right)
+
+    mirrors = edge_types[0::2]
+    if mirrors.count(1) != len(mirrors):
+        failures.append("mirror edges not in alternating position")
+    if 1 in edge_types[1::2]:
+        failures.append("interleaved edge has type 1")
+    return failures
+
+
+def _weight_failures(weights, best, left, right):
+    """The weight checks of one path, whose vertex weights in path order
+    are ``weights`` with path MWIS ``best`` and whose middle edge joins
+    ``left`` and ``right``: the middle's ends weigh the same, weights
+    rise to the middle and fall after it, and the MWIS is half the
+    path's weight.  Returns failure strings."""
+    failures = []
     if left.weight != right.weight:
         failures.append(
             f"middle weights differ: {left.name()}={left.weight}, "
             f"{right.name()}={right.weight}")
+    half = len(weights) // 2
     rising, falling = weights[:half], weights[half:]
     if rising != sorted(rising) or falling != sorted(falling, reverse=True):
         failures.append(f"weights not monotone toward the middle: {weights}")
@@ -283,12 +333,6 @@ def _path_failures(path, weights, edge_types, middle, best):
     total = sum(weights)
     if 2 * best != total:
         failures.append(f"path MWIS {best} != half of total {total}")
-
-    mirrors = edge_types[0::2]
-    if mirrors.count(1) != len(mirrors):
-        failures.append("mirror edges not in alternating position")
-    if 1 in edge_types[1::2]:
-        failures.append("interleaved edge has type 1")
     return failures
 
 
@@ -316,6 +360,16 @@ def _typed_edge_failures(typed, graph: OrbitGraph):
 def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdict:
     """Check every structural and weight invariant of a decomposition
     against ``graph``, with the typed edges the decomposition carries.
+
+    The structural checks read only profile offsets i - s: the paths
+    partition the vertices, each typed edge is a graph edge of the form
+    of its type, consecutive path vertices are joined by a typed edge of
+    the stated type, mirror edges alternate, and each middle sits at its
+    path's midpoint with type 2 or as a fixed-point mirror edge.  So they
+    give one answer across a class (see the module docstring).  The
+    weight checks read ``graph.weights``: each vertex carries its
+    profile's weight, the ``_weight_failures`` of each path, and the
+    path MWIS values summing to one side's weight.
 
     Failures are reported in the Verdict, never raised: a failing path
     is a finding about the construction for those parameters (the
@@ -369,11 +423,17 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
         failures.extend(_path_failures(path, weights, edge_types,
                                        dec.middles[p], best))
 
-    side_weight = sum(graph.weights)
+    return _chains_verdict(params, len(dec.paths), mwis_total,
+                           sum(graph.weights), failures)
+
+
+def _chains_verdict(params: Params, path_count: int, mwis_total: int,
+                    side_weight: int, failures: list) -> Verdict:
+    """The chains verdict after its last check, that the path MWIS
+    values sum to one side's weight; ``failures`` are the earlier ones."""
     if mwis_total != side_weight:
         failures.append(f"sum of path MWIS values {mwis_total} != one side's "
                         f"weight {side_weight}")
-
     return Verdict(
         claim="chains.valid",
         params=params,
@@ -382,8 +442,36 @@ def validate_decomposition(dec: ChainDecomposition, graph: OrbitGraph) -> Verdic
         passed=not failures,
         witness=failures or None,
         detail="; ".join(failures[:4]) if failures else
-               f"{len(dec.paths)} paths, all balanced",
+               f"{path_count} paths, all balanced",
     )
+
+
+def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict | None:
+    """The chains verdict of ``graph`` from its weight checks alone.
+
+    ``paths`` are the ``offset_form`` paths of a decomposition that
+    passed validate_decomposition on another triple of the class, with
+    the same offset intervals, so every structural check holds here too
+    (each middle edge, for one, sits at its path's midpoint).  Weights
+    are read by offset and the middle's ends from the (n, k) vertex rows,
+    so no vertex or edge is built.  Returns validate_decomposition's
+    Verdict when every check passes, and None otherwise, for the caller
+    to rerun the full validator for its witness.
+    """
+    params, weights = graph.params, graph.weights
+    rows, s = _vertex_rows(params.n, params.k), params.s
+    both, own = weights + weights, rows[0][s:] + rows[1][s:]
+    mwis_total = 0
+    for path in paths:
+        path_weights = [both[x] for x in path]
+        best = path_mwis(path_weights)
+        half = len(path) // 2
+        if _weight_failures(path_weights, best, own[path[half - 1]],
+                            own[path[half]]):
+            return None
+        mwis_total += best
+    verdict = _chains_verdict(params, len(paths), mwis_total, sum(weights), [])
+    return verdict if verdict.passed else None
 
 
 def _orbit_masks(params: Params, profile: int):

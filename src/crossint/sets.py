@@ -7,7 +7,7 @@ operation that needs an explicit cap.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import combinations
 
@@ -147,6 +147,8 @@ class Params:
     n: int
     k: int
     s: int
+    # derived once; left out of init, repr, == and hash
+    l: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.s >= 1:
@@ -155,10 +157,7 @@ class Params:
             raise ParamsOutOfRange(f"need k > s, got k={self.k}, s={self.s}")
         if not self.n >= self.k:
             raise ParamsOutOfRange(f"need n >= k, got n={self.n}, k={self.k}")
-
-    @property
-    def l(self) -> int:
-        return self.n - (2 * self.k - self.s + 1)
+        object.__setattr__(self, "l", self.n - (2 * self.k - self.s + 1))
 
     def base_set(self) -> KSet:
         """The set {1, ..., k}."""

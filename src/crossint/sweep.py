@@ -22,9 +22,9 @@ from .extremal import (check_mirror_weight_ordering, check_offset_weight_orderin
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_orbit_masks, _transposed, build_chain_decomposition,
-                         build_orbit_graph, check_biregularity,
-                         validate_decomposition)
+from .orbitgraph import (_orbit_masks, _transposed, _verdict_by_offsets,
+                         build_chain_decomposition, build_orbit_graph,
+                         check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
 from .sets import Params, binom
 
@@ -129,9 +129,9 @@ def _check_lemma1(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
         yield skip_record(params, "lemma1", NEEDS_ORBIT_LAYER)
         return
-    graph, s = build_orbit_graph(params), params.s
-    weight = interval_independent_set(graph.weights, graph.weights, [
-        (lo - s, hi - s) for lo, hi in graph.intervals])[0]
+    graph = build_orbit_graph(params)
+    weight = interval_independent_set(graph.weights, graph.weights,
+                                      graph.offset_intervals)[0]
     want = size_extremal_family(params) - 1
     yield Verdict(
         claim="lemma1.orbit-certificate",
@@ -164,12 +164,49 @@ def _check_lemma2(params: Params, spec: SweepSpec):
         yield check(params).to_record("lemma2")
 
 
+#: The chain class (k - s, max(0, k - 2s - l)) of each triple checked in
+#: the current sweep -> its _class_record, or None when the first triple
+#: of the class failed.  Cleared when a sweep starts and ends; each
+#: worker process of a sweep fills its own.
+_CHAIN_CLASSES = {}
+
+
+def _class_record(dec) -> tuple:
+    """A passed decomposition's offset intervals and paths, from its
+    ``offset_form``: what the later triples of its class are checked
+    against."""
+    paths, _, _, intervals = dec.offset_form()
+    return intervals, paths
+
+
 def _check_chains(params: Params, spec: SweepSpec):
+    """The chain decomposition's verdict, validated in full once per
+    class of the sweep.
+
+    The decomposition and every structural check depend on the class
+    alone (see the ``orbitgraph`` docstring).  So once the first triple
+    of a class has passed validate_decomposition, a later triple whose
+    orbit graph has the same offset intervals runs only the weight
+    checks, on its own weights.  Any other case, and any failed weight
+    check, runs the full validator, so every failing record carries its
+    witness."""
     if params.s < 2 or params.l < 0:
         yield skip_record(params, "chains", NEEDS_ORBIT_LAYER)
         return
-    dec = build_chain_decomposition(params)
-    yield validate_decomposition(dec, dec.graph).to_record("chains")
+    k, s = params.k, params.s
+    key = (k - s, max(0, k - 2 * s - params.l))
+    verdict, known = None, _CHAIN_CLASSES.get(key)
+    if known is not None:
+        graph = build_orbit_graph(params)
+        intervals, paths = known
+        if graph.offset_intervals == intervals:
+            verdict = _verdict_by_offsets(graph, paths)
+    if verdict is None:
+        dec = build_chain_decomposition(params)
+        verdict = validate_decomposition(dec, dec.graph)
+        if key not in _CHAIN_CLASSES:
+            _CHAIN_CLASSES[key] = _class_record(dec) if verdict.passed else None
+    yield verdict.to_record("chains")
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:
@@ -324,13 +361,17 @@ def iter_records(spec: SweepSpec):
     sorting within each triple gives the order of one global sort.
     """
     triples = spec.instances()
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            for records in pool.map(_run_instance, repeat(spec), triples):
-                yield from records
-    else:
-        for triple in triples:
-            yield from _run_instance(spec, triple)
+    _CHAIN_CLASSES.clear()
+    try:
+        if spec.jobs > 1:
+            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+                for records in pool.map(_run_instance, repeat(spec), triples):
+                    yield from records
+        else:
+            for triple in triples:
+                yield from _run_instance(spec, triple)
+    finally:
+        _CHAIN_CLASSES.clear()
 
 
 def report_meta(spec: SweepSpec) -> dict:

@@ -32,6 +32,21 @@ class TestSweepCommands:
         break_chain_decompositions(monkeypatch)
         assert main(argv) == 1
 
+    def test_check_chains_records_do_not_depend_on_jobs(self, capsys):
+        # each worker process keeps its own class memo, so which triple of
+        # a class it validates in full differs from the one-process sweep
+        argv = ["check-chains", "--k-range", "3:9", "--s-range", "2:4",
+                "--l-range", "0:4"]
+        records = {}
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            records[jobs] = strip_millis(
+                json.loads(capsys.readouterr().out)["records"])
+        assert records["1"] == records["2"]
+        classes = {(rec["k"] - rec["s"], max(0, rec["k"] - 2 * rec["s"] - rec["l"]))
+                   for rec in records["1"]}
+        assert 1 < len(classes) < len(records["1"])
+
     def test_check_lemmas_pass(self, capsys):
         assert main(["check-lemmas", "--k", "5", "--s", "2",
                      "--l-range", "0:2", "--cap", "500"]) == 0

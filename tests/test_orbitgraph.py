@@ -97,6 +97,26 @@ class TestIntervalRepresentation:
             assert list(los) == sorted(los, reverse=True), params
             assert list(his) == sorted(his, reverse=True), params
 
+    def test_offset_intervals_depend_on_the_class_alone(self):
+        # [max(0, d - j), m - 1 - j] with m = k - s and d = k - 2s - l
+        for params in small_graph_params():
+            k, s, l = params.k, params.s, params.l
+            m, d = k - s, max(0, k - 2 * s - l)
+            assert build_orbit_graph(params).offset_intervals == tuple(
+                (max(0, d - j), m - 1 - j) for j in range(m)), params
+
+    def test_offset_form_indexes_both_sides(self):
+        for params in small_graph_params():
+            dec = build_chain_decomposition(params)
+            own = dec.graph.side1 + dec.graph.side2
+            paths, edge_types, middles, intervals = dec.offset_form()
+            assert [[own[x] for x in path] for path in paths] == \
+                [list(path) for path in dec.paths], params
+            assert [(own[a], own[b], ty) for a, b, ty in middles] == \
+                list(dec.middles), params
+            assert (edge_types, intervals) == \
+                (dec.edge_types, dec.graph.offset_intervals), params
+
 
 class TestClassifyEdges:
     def test_9_4_2(self):

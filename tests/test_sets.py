@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -192,6 +194,27 @@ class TestParams:
         assert Params(9, 4, 2).l == 2
         assert Params(7, 4, 2).l == 0
         assert Params(6, 4, 2).l == -1
+
+    def test_slack_is_derived_not_a_constructor_field(self):
+        # l is stored once but stays out of repr, ==, hash and __init__
+        params = Params(9, 4, 2)
+        assert repr(params) == "Params(n=9, k=4, s=2)"
+        assert params == Params(9, 4, 2) and params != Params(10, 4, 2)
+        assert hash(params) == hash(Params(9, 4, 2)) == hash((9, 4, 2))
+        assert {params: 1}[Params(9, 4, 2)] == 1
+        with pytest.raises(TypeError):
+            Params(9, 4, 2, 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.l = 5
+
+    def test_replace_recomputes_slack(self):
+        params = Params(9, 4, 2)
+        wider = dataclasses.replace(params, n=12)
+        assert wider == Params(12, 4, 2) and wider.l == 5
+        assert dataclasses.replace(params, s=3).l == 3
+        assert dataclasses.replace(params) == params
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, l=0)
 
     def test_base_set(self):
         assert Params(7, 3, 2).base_set().elements == (1, 2, 3)

@@ -10,6 +10,7 @@ from crossint import (ConfigError, Params, ReportBundle, SweepSpec, binom,
                       emit_report, extremal, orbitgraph, run_sweep, sweep)
 from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
+from crossint.orbitgraph import build_chain_decomposition, validate_decomposition
 from crossint.oracle import _conflict_rows, _iter_conflict_rows
 from crossint.report import CSV_COLUMNS, Verdict, skip_record
 from crossint.sweep import CHECK_NAMES
@@ -322,8 +323,10 @@ class TestEmitReport:
 
 
 class TestBuildOnce:
-    """One orbit-graph build per triple and check, one classification per
-    chain triple: the sweep never rebuilds or reclassifies an instance."""
+    """One orbit-graph build per triple and check, and one classification
+    per chain class (k - s, max(0, k - 2s - l)), at the first triple of
+    the class: the sweep never rebuilds an instance or reclassifies a
+    class."""
 
     def count_calls(self, monkeypatch):
         calls = {"build": [], "classify": []}
@@ -349,10 +352,149 @@ class TestBuildOnce:
         spec = SweepSpec(ks=tuple(range(3, 9)), ss=(2, 3, 4), ls=(0, 1, 2, 3),
                          checks=(check,), cap=1)
         triples = spec.instances()
+        firsts = {}
+        for n, k, s in triples:
+            firsts.setdefault((k - s, max(0, 3 * k - 3 * s + 1 - n)), (n, k, s))
         bundle = run_sweep(spec)
         assert bundle.passed
         assert sorted(calls["build"]) == triples
-        assert sorted(calls["classify"]) == triples * classified
+        assert len(firsts) < len(triples)
+        assert calls["classify"] == sorted(firsts.values()) * classified
+
+
+def chain_class(params):
+    """The class (k - s, max(0, k - 2s - l)) the sweep keys chains by."""
+    return params.k - params.s, max(0, params.k - 2 * params.s - params.l)
+
+
+def full_chains_record(params):
+    """The chains record of the full build and validation, untimed."""
+    graph = orbitgraph.build_orbit_graph(params)
+    return validate_decomposition(build_chain_decomposition(params),
+                                  graph).to_record("chains")
+
+
+def tamper_weights(monkeypatch, params):
+    """Give the second profile of a path of six or more vertices one more
+    than the weight of the third, in the (n, k) weight row the orbit
+    graph and its vertex rows read; other rows are left alone.  The path
+    stays balanced (its MWIS is still half its weight, so the sum check
+    passes too) but its weights no longer rise toward its middle."""
+    n, k = params.n, params.k
+    path = next(path for path in build_chain_decomposition(params).paths
+                if len(path) >= 6)
+    row = orbitgraph._weight_row
+
+    def tampered(n_, k_):
+        out = row(n_, k_)
+        if (n_, k_) != (n, k):
+            return out
+        i = path[1].i
+        return out[:i] + (out[path[2].i] + 1,) + out[i + 1:]
+
+    monkeypatch.setattr(orbitgraph, "_weight_row", tampered)
+    orbitgraph._vertex_rows.cache_clear()
+
+
+def count_validations(monkeypatch):
+    """The params of every sweep call of validate_decomposition."""
+    seen, validate = [], sweep.validate_decomposition
+
+    def counted(dec, graph):
+        seen.append(graph.params)
+        return validate(dec, graph)
+
+    monkeypatch.setattr(sweep, "validate_decomposition", counted)
+    return seen
+
+
+class TestChainClasses:
+    """check-chains validates each class's decomposition in full once per
+    sweep and checks only the weights of the class's other triples; every
+    record equals the full validator's."""
+
+    #: n = 21 and 9 <= k <= 13: the class (k - s, k - 2s - l) = (7, 1),
+    #: whose paths have 6, 4 and 4 vertices, has five triples, s = 2..6;
+    #: the other classes of the grid come along.
+    SPEC = SweepSpec(ks=tuple(range(9, 14)), ss=tuple(range(2, 7)), ns=(21,),
+                     checks=("chains",))
+    CLASS = [Params(*triple) for triple in SPEC.instances()
+             if chain_class(Params(*triple)) == (7, 1)]
+
+    def class_records(self):
+        """The untimed records of a sweep of SPEC that belong to CLASS."""
+        triples = [(p.n, p.k, p.s) for p in self.CLASS]
+        return [rec for rec in strip_timings(run_sweep(self.SPEC).records)
+                if (rec["n"], rec["k"], rec["s"]) in triples]
+
+    @pytest.fixture(autouse=True)
+    def fresh_vertex_rows(self):
+        orbitgraph._vertex_rows.cache_clear()
+        yield
+        orbitgraph._vertex_rows.cache_clear()
+
+    def test_records_equal_full_validation_on_orbit_grid(self):
+        # the orbit-sweep grid (k 3:30, s 2:29, l 0:30) cut at k <= 20
+        spec = SweepSpec(ks=tuple(range(3, 21)), ss=tuple(range(2, 30)),
+                         ls=tuple(range(31)), checks=("chains",))
+        records = strip_timings(run_sweep(spec).records)
+        assert len(records) == 5301
+        forms = {}
+        for rec in records:
+            params = Params(rec["n"], rec["k"], rec["s"])
+            assert rec == full_chains_record(params), params
+            assert rec["status"] == "pass"
+            form = build_chain_decomposition(params).offset_form()
+            assert forms.setdefault(chain_class(params), form) == form, params
+        assert len(forms) < len(records) / 5
+
+    def test_tampered_triple_fails_with_the_validators_witness(
+            self, monkeypatch):
+        assert len(self.CLASS) == 5
+        first, tampered = self.CLASS[0], self.CLASS[2]
+        tamper_weights(monkeypatch, tampered)
+        validated = count_validations(monkeypatch)
+        records = self.class_records()
+        # the first triple in full, then only the tampered one
+        assert [p for p in validated if p in self.CLASS] == [first, tampered]
+        assert [rec["status"] for rec in records] == \
+            ["pass", "pass", "fail", "pass", "pass"]
+        assert records == [full_chains_record(p) for p in self.CLASS]
+        witness = records[2]["witness"]
+        assert len(witness) == 1 and "not monotone" in witness[0]
+
+    def test_failed_first_triple_sends_its_class_to_the_validator(
+            self, monkeypatch):
+        tamper_weights(monkeypatch, self.CLASS[0])
+        validated = count_validations(monkeypatch)
+        records = self.class_records()
+        assert [p for p in validated if p in self.CLASS] == self.CLASS
+        assert [rec["status"] for rec in records] == \
+            ["fail", "pass", "pass", "pass", "pass"]
+        assert records == [full_chains_record(p) for p in self.CLASS]
+
+    def test_other_offset_intervals_send_a_triple_to_the_validator(
+            self, monkeypatch):
+        # a class record whose intervals do not match is not trusted
+        params = self.CLASS[1]
+        dec = build_chain_decomposition(params)
+        intervals, paths = sweep._class_record(dec)
+        wrong = ((intervals[0][0], intervals[0][1] - 1),) + intervals[1:]
+        monkeypatch.setattr(sweep, "_CHAIN_CLASSES",
+                            {chain_class(params): (wrong, paths)})
+        validated = count_validations(monkeypatch)
+        records = list(sweep.CHECKS["chains"](params, self.SPEC))
+        assert validated == [params]
+        assert strip_timings(records) == [full_chains_record(params)]
+
+    def test_memo_lives_for_one_sweep(self, monkeypatch):
+        # a second sweep validates its classes afresh, so a broken build
+        # installed between two sweeps is seen
+        assert run_sweep(self.SPEC).passed
+        assert sweep._CHAIN_CLASSES == {}
+        break_chain_decompositions(monkeypatch)
+        bundle = run_sweep(self.SPEC)
+        assert bundle.summary["pass"] == 0 and bundle.summary["fail"] > 5
 
 
 def edges_triples(n_max):
