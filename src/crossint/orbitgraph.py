@@ -34,7 +34,9 @@ for even d.  When d <= 0 every interval starts at 0, the band at 0 and
 the low anchor below 0, so no offset edge exists: everything collapses
 to d = 0.  So the typed edges, the paths and every structural check of
 validate_decomposition are the same, in offsets, across a class, and
-only the weights w(s+j) differ from triple to triple.
+only the weights w(s+j) differ from triple to triple.  The offset
+intervals name the class: m is their count and max(0, d) the lower
+end of the first.
 """
 
 from dataclasses import dataclass
@@ -200,17 +202,13 @@ class ChainDecomposition:
     graph: OrbitGraph  # the graph the paths were taken from
     typed: tuple       # classify_edges(graph)
 
-    def offset_form(self) -> tuple:
-        """(paths, edge types, middles, graph intervals) with every vertex
-        as its position in ``side1 + side2``, (side - 1) * (k - s) + i - s,
-        and every interval end as an offset i - s: the same for all
-        triples of one class (see the module docstring)."""
+    def offset_paths(self) -> tuple:
+        """The paths with every vertex as its position in ``side1 +
+        side2``, (side - 1) * (k - s) + i - s: the same for all triples
+        of one class (see the module docstring)."""
         s, m = self.params.s, len(self.graph.weights)
-        at = lambda v: (v.side - 1) * m + v.i - s
-        return (tuple(tuple(map(at, path)) for path in self.paths),
-                self.edge_types,
-                tuple((at(a), at(b), ty) for a, b, ty in self.middles),
-                self.graph.offset_intervals)
+        return tuple(tuple((v.side - 1) * m + v.i - s for v in path)
+                     for path in self.paths)
 
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
@@ -225,8 +223,12 @@ def build_chain_decomposition(params: Params) -> ChainDecomposition:
     vertex has two typed edges of one kind or no mirror edge, or lies on
     no path (the typed edges close a cycle); none has been observed.
     """
-    graph = build_orbit_graph(params)
-    typed = tuple(classify_edges(graph))
+    return _decompose(build_orbit_graph(params))
+
+
+def _decompose(graph: OrbitGraph) -> ChainDecomposition:
+    """build_chain_decomposition on an orbit graph already built."""
+    params, typed = graph.params, tuple(classify_edges(graph))
     s, side1, side2, m = params.s, graph.side1, graph.side2, len(graph.weights)
 
     # each vertex's mirror and type-2/3 edge, by side and profile - s
@@ -446,32 +448,31 @@ def _chains_verdict(params: Params, path_count: int, mwis_total: int,
     )
 
 
-def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict | None:
+def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
     """The chains verdict of ``graph`` from its weight checks alone.
 
-    ``paths`` are the ``offset_form`` paths of a decomposition that
-    passed validate_decomposition on another triple of the class, with
-    the same offset intervals, so every structural check holds here too
-    (each middle edge, for one, sits at its path's midpoint).  Weights
-    are read by offset and the middle's ends from the (n, k) vertex rows,
-    so no vertex or edge is built.  Returns validate_decomposition's
-    Verdict when every check passes, and None otherwise, for the caller
-    to rerun the full validator for its witness.
+    ``paths`` are the ``offset_paths`` of a decomposition that passed
+    validate_decomposition on a graph with the same offset intervals,
+    so of the same class: every structural check holds here too (each
+    middle edge, for one, sits at its path's midpoint), and the
+    validator's failures would be exactly each path's
+    ``_weight_failures`` and then the sum check.  Weights are read by
+    offset and the middle's ends from the (n, k) vertex rows, so no
+    vertex or edge is built.
     """
     params, weights = graph.params, graph.weights
     rows, s = _vertex_rows(params.n, params.k), params.s
     both, own = weights + weights, rows[0][s:] + rows[1][s:]
-    mwis_total = 0
+    failures, mwis_total = [], 0
     for path in paths:
         path_weights = [both[x] for x in path]
         best = path_mwis(path_weights)
         half = len(path) // 2
-        if _weight_failures(path_weights, best, own[path[half - 1]],
-                            own[path[half]]):
-            return None
+        failures += _weight_failures(path_weights, best, own[path[half - 1]],
+                                     own[path[half]])
         mwis_total += best
-    verdict = _chains_verdict(params, len(paths), mwis_total, sum(weights), [])
-    return verdict if verdict.passed else None
+    return _chains_verdict(params, len(paths), mwis_total, sum(weights),
+                           failures)
 
 
 def _orbit_masks(params: Params, profile: int):

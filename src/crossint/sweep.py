@@ -22,8 +22,8 @@ from .extremal import (check_mirror_weight_ordering, check_offset_weight_orderin
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_orbit_masks, _transposed, _verdict_by_offsets,
-                         build_chain_decomposition, build_orbit_graph,
+from .orbitgraph import (_decompose, _orbit_masks, _transposed,
+                         _verdict_by_offsets, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict, skip_record
 from .sets import Params, binom
@@ -33,6 +33,8 @@ CHECK_NAMES = ("theorem", "lemma1", "lemma2", "chains", "edges", "biregular",
 
 #: Anchor-pair audit is quadratic in C(n, k); keep it tiny.
 DEEP_AUDIT_CAP = 35
+#: check-edges enumerates both orbits of each profile pair up to this n.
+EXHAUSTIVE_N_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,6 @@ class SweepSpec:
     ns: tuple | None = None
     checks: tuple = ("theorem",)
     cap: int = DEFAULT_ORACLE_CAP
-    exhaustive_n_cap: int = 12
     jobs: int = 1
     deep_audit: bool = False
 
@@ -64,8 +65,8 @@ class SweepSpec:
                               f"available: {CHECK_NAMES}")
         if not self.checks:
             raise ConfigError("no checks selected")
-        if self.cap <= 0 or self.exhaustive_n_cap <= 0:
-            raise ConfigError("caps must be positive")
+        if self.cap <= 0:
+            raise ConfigError("cap must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
 
@@ -93,7 +94,7 @@ class SweepSpec:
             "ls": list(self.ls) if self.ls is not None else None,
             "ns": list(self.ns) if self.ns is not None else None,
             "checks": list(self.checks), "cap": self.cap,
-            "exhaustive_n_cap": self.exhaustive_n_cap,
+            "exhaustive_n_cap": EXHAUSTIVE_N_CAP,
             "jobs": self.jobs, "deep_audit": self.deep_audit,
         }
 
@@ -164,48 +165,37 @@ def _check_lemma2(params: Params, spec: SweepSpec):
         yield check(params).to_record("lemma2")
 
 
-#: The chain class (k - s, max(0, k - 2s - l)) of each triple checked in
-#: the current sweep -> its _class_record, or None when the first triple
-#: of the class failed.  Cleared when a sweep starts and ends; each
-#: worker process of a sweep fills its own.
-_CHAIN_CLASSES = {}
-
-
-def _class_record(dec) -> tuple:
-    """A passed decomposition's offset intervals and paths, from its
-    ``offset_form``: what the later triples of its class are checked
-    against."""
-    paths, _, _, intervals = dec.offset_form()
-    return intervals, paths
+#: The offset intervals of each chain class met in the current sweep
+#: (``OrbitGraph.offset_intervals``, which name the class) -> the
+#: ``offset_paths`` of its first decomposition that passed the
+#: validator.  Cleared when a sweep starts and ends; each worker process
+#: of a sweep fills its own.
+_CHAIN_PATHS = {}
 
 
 def _check_chains(params: Params, spec: SweepSpec):
-    """The chain decomposition's verdict, validated in full once per
-    class of the sweep.
+    """The chain decomposition's verdict, validated in full until a
+    decomposition of its class has passed in this sweep.
 
     The decomposition and every structural check depend on the class
-    alone (see the ``orbitgraph`` docstring).  So once the first triple
-    of a class has passed validate_decomposition, a later triple whose
-    orbit graph has the same offset intervals runs only the weight
-    checks, on its own weights.  Any other case, and any failed weight
-    check, runs the full validator, so every failing record carries its
-    witness."""
+    alone (see the ``orbitgraph`` docstring).  So once a decomposition
+    of a class has passed validate_decomposition, a later triple of the
+    class runs only the weight checks, on its own weights, and gets the
+    validator's verdict, failing or not.  Until then each triple of the
+    class is validated in full."""
     if params.s < 2 or params.l < 0:
         yield skip_record(params, "chains", NEEDS_ORBIT_LAYER)
         return
-    k, s = params.k, params.s
-    key = (k - s, max(0, k - 2 * s - params.l))
-    verdict, known = None, _CHAIN_CLASSES.get(key)
-    if known is not None:
-        graph = build_orbit_graph(params)
-        intervals, paths = known
-        if graph.offset_intervals == intervals:
-            verdict = _verdict_by_offsets(graph, paths)
-    if verdict is None:
-        dec = build_chain_decomposition(params)
-        verdict = validate_decomposition(dec, dec.graph)
-        if key not in _CHAIN_CLASSES:
-            _CHAIN_CLASSES[key] = _class_record(dec) if verdict.passed else None
+    graph = build_orbit_graph(params)
+    key = graph.offset_intervals
+    paths = _CHAIN_PATHS.get(key)
+    if paths is not None:
+        verdict = _verdict_by_offsets(graph, paths)
+    else:
+        dec = _decompose(graph)
+        verdict = validate_decomposition(dec, graph)
+        if verdict.passed:
+            _CHAIN_PATHS[key] = dec.offset_paths()
     yield verdict.to_record("chains")
 
 
@@ -238,7 +228,7 @@ def _check_edges(params: Params, spec: SweepSpec):
         return
     profiles = range(params.s, params.k)
     graph = build_orbit_graph(params) if params.s >= 2 else None
-    exhaustive = params.n <= spec.exhaustive_n_cap
+    exhaustive = params.n <= EXHAUSTIVE_N_CAP
     enumerated = {(i, t): _enumerated_conflict(params, i, t)
                   for i in profiles for t in profiles
                   if i <= t} if exhaustive else {}
@@ -257,7 +247,7 @@ def _check_edges(params: Params, spec: SweepSpec):
     detail = (f"{len(profiles) ** 2} profile pairs agree on "
               + ("all routes" if exhaustive else "formula routes")
               + ("" if exhaustive else " (enumeration skipped: n > "
-                 f"{spec.exhaustive_n_cap})"))
+                 f"{EXHAUSTIVE_N_CAP})"))
     yield Verdict(
         claim="edges.rule-equivalence",
         params=params,
@@ -361,7 +351,7 @@ def iter_records(spec: SweepSpec):
     sorting within each triple gives the order of one global sort.
     """
     triples = spec.instances()
-    _CHAIN_CLASSES.clear()
+    _CHAIN_PATHS.clear()
     try:
         if spec.jobs > 1:
             with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -371,7 +361,7 @@ def iter_records(spec: SweepSpec):
             for triple in triples:
                 yield from _run_instance(spec, triple)
     finally:
-        _CHAIN_CLASSES.clear()
+        _CHAIN_PATHS.clear()
 
 
 def report_meta(spec: SweepSpec) -> dict:

@@ -73,15 +73,15 @@ def break_chain_decompositions(monkeypatch):
     """Make the sweep validate broken decompositions: the first two
     vertices of the first path swap places, so a same-side pair becomes
     consecutive and the path can no longer pass validation."""
-    build = sweep.build_chain_decomposition
+    decompose = sweep._decompose
 
-    def broken(params):
-        dec = build(params)
+    def broken(graph):
+        dec = decompose(graph)
         path = dec.paths[0]
         swapped = (path[1], path[0]) + path[2:]
         return replace(dec, paths=(swapped,) + dec.paths[1:])
 
-    monkeypatch.setattr(sweep, "build_chain_decomposition", broken)
+    monkeypatch.setattr(sweep, "_decompose", broken)
 
 
 def random_cross_pair(rng: random.Random, n, k, s):

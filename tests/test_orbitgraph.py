@@ -105,17 +105,12 @@ class TestIntervalRepresentation:
             assert build_orbit_graph(params).offset_intervals == tuple(
                 (max(0, d - j), m - 1 - j) for j in range(m)), params
 
-    def test_offset_form_indexes_both_sides(self):
+    def test_offset_paths_index_both_sides(self):
         for params in small_graph_params():
             dec = build_chain_decomposition(params)
             own = dec.graph.side1 + dec.graph.side2
-            paths, edge_types, middles, intervals = dec.offset_form()
-            assert [[own[x] for x in path] for path in paths] == \
-                [list(path) for path in dec.paths], params
-            assert [(own[a], own[b], ty) for a, b, ty in middles] == \
-                list(dec.middles), params
-            assert (edge_types, intervals) == \
-                (dec.edge_types, dec.graph.offset_intervals), params
+            assert [[own[x] for x in path] for path in dec.offset_paths()] \
+                == [list(path) for path in dec.paths], params
 
 
 class TestClassifyEdges:

@@ -206,6 +206,17 @@ class TestRunSweep:
         assert strip_timings(run_sweep(spec1).records) == \
             strip_timings(run_sweep(spec2).records)
 
+    def test_parallel_chains_equal_sequential(self):
+        # each worker fills its own class memo
+        grid = dict(ks=tuple(range(3, 13)), ss=tuple(range(2, 7)),
+                    ls=tuple(range(9)), checks=("chains",))
+        records = strip_timings(run_sweep(SweepSpec(**grid)).records)
+        assert strip_timings(run_sweep(SweepSpec(**grid, jobs=2)).records) \
+            == records
+        classes = {chain_class(Params(rec["n"], rec["k"], rec["s"]))
+                   for rec in records}
+        assert 1 < len(classes) < len(records)
+
 
 class TestEmitReport:
     def bundle(self):
@@ -409,9 +420,10 @@ def count_validations(monkeypatch):
 
 
 class TestChainClasses:
-    """check-chains validates each class's decomposition in full once per
-    sweep and checks only the weights of the class's other triples; every
-    record equals the full validator's."""
+    """check-chains validates a class's decomposition in full until one
+    passes, keyed by the orbit graph's offset intervals, and then checks
+    only the weights of the class's other triples; every record equals
+    the full validator's."""
 
     #: n = 21 and 9 <= k <= 13: the class (k - s, k - 2s - l) = (7, 1),
     #: whose paths have 6, 4 and 4 vertices, has five triples, s = 2..6;
@@ -444,7 +456,8 @@ class TestChainClasses:
             params = Params(rec["n"], rec["k"], rec["s"])
             assert rec == full_chains_record(params), params
             assert rec["status"] == "pass"
-            form = build_chain_decomposition(params).offset_form()
+            dec = build_chain_decomposition(params)
+            form = dec.offset_paths(), dec.edge_types, dec.graph.offset_intervals
             assert forms.setdefault(chain_class(params), form) == form, params
         assert len(forms) < len(records) / 5
 
@@ -455,43 +468,43 @@ class TestChainClasses:
         tamper_weights(monkeypatch, tampered)
         validated = count_validations(monkeypatch)
         records = self.class_records()
-        # the first triple in full, then only the tampered one
-        assert [p for p in validated if p in self.CLASS] == [first, tampered]
+        # the first triple in full; the tampered one by its weights alone
+        assert [p for p in validated if p in self.CLASS] == [first]
         assert [rec["status"] for rec in records] == \
             ["pass", "pass", "fail", "pass", "pass"]
         assert records == [full_chains_record(p) for p in self.CLASS]
         witness = records[2]["witness"]
         assert len(witness) == 1 and "not monotone" in witness[0]
 
-    def test_failed_first_triple_sends_its_class_to_the_validator(
+    def test_failed_first_triple_leaves_its_class_to_the_next_pass(
             self, monkeypatch):
         tamper_weights(monkeypatch, self.CLASS[0])
         validated = count_validations(monkeypatch)
         records = self.class_records()
-        assert [p for p in validated if p in self.CLASS] == self.CLASS
+        assert [p for p in validated if p in self.CLASS] == self.CLASS[:2]
         assert [rec["status"] for rec in records] == \
             ["fail", "pass", "pass", "pass", "pass"]
         assert records == [full_chains_record(p) for p in self.CLASS]
 
-    def test_other_offset_intervals_send_a_triple_to_the_validator(
-            self, monkeypatch):
-        # a class record whose intervals do not match is not trusted
+    def test_memo_entry_of_other_intervals_is_never_read(self, monkeypatch):
+        # empty paths would fail the sum check if they were read
         params = self.CLASS[1]
-        dec = build_chain_decomposition(params)
-        intervals, paths = sweep._class_record(dec)
+        intervals = orbitgraph.build_orbit_graph(params).offset_intervals
         wrong = ((intervals[0][0], intervals[0][1] - 1),) + intervals[1:]
-        monkeypatch.setattr(sweep, "_CHAIN_CLASSES",
-                            {chain_class(params): (wrong, paths)})
+        monkeypatch.setattr(sweep, "_CHAIN_PATHS", {wrong: ()})
         validated = count_validations(monkeypatch)
         records = list(sweep.CHECKS["chains"](params, self.SPEC))
         assert validated == [params]
         assert strip_timings(records) == [full_chains_record(params)]
+        assert sweep._CHAIN_PATHS == {
+            wrong: (),
+            intervals: build_chain_decomposition(params).offset_paths()}
 
     def test_memo_lives_for_one_sweep(self, monkeypatch):
         # a second sweep validates its classes afresh, so a broken build
         # installed between two sweeps is seen
         assert run_sweep(self.SPEC).passed
-        assert sweep._CHAIN_CLASSES == {}
+        assert sweep._CHAIN_PATHS == {}
         break_chain_decompositions(monkeypatch)
         bundle = run_sweep(self.SPEC)
         assert bundle.summary["pass"] == 0 and bundle.summary["fail"] > 5
