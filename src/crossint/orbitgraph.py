@@ -40,7 +40,7 @@ end of the first.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -70,9 +70,9 @@ class OrbitGraph:
     intervals: tuple  # (lo, hi): side-2 neighbours of each side-1 profile
 
     # OrbitVertex per profile, ascending: sliced from the (n, k) rows
-    side1 = cached_property(lambda self: _vertex_rows(
+    side1 = property(lambda self: _vertex_rows(
         self.params.n, self.params.k)[0][self.params.s:])
-    side2 = cached_property(lambda self: _vertex_rows(
+    side2 = property(lambda self: _vertex_rows(
         self.params.n, self.params.k)[1][self.params.s:])
 
     def profiles(self):
@@ -345,12 +345,13 @@ def _typed_edge_failures(typed, graph: OrbitGraph):
     type 3 on the rest; and each carried type by (profile, profile)."""
     s, mirror = graph.params.s, graph.params.k + graph.params.s - 1
     failures, types, intervals = [], {}, graph.intervals
+    side1, side2 = graph.side1, graph.side2
     for left, right, ty in typed:
         i, t = left.i, right.i
         types[i, t] = ty
         lo, hi = intervals[i - s] if 0 <= i - s < len(intervals) else (1, 0)
-        if not (lo <= t <= hi and left == graph.side1[i - s]
-                and right == graph.side2[t - s]):
+        if not (lo <= t <= hi and left == side1[i - s]
+                and right == side2[t - s]):
             failures.append(f"typed edge {left.name()}--{right.name()} "
                             f"is not an edge of the graph")
         elif ty != (1 if i + t == mirror else 2 if i == t else 3):

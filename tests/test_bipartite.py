@@ -204,7 +204,7 @@ class TestUnitWeightIndependentSet:
         # vertices of each side, re-routing every a_i to b_i
         n = 1500
         rows = [3 << i for i in range(n - 1)] + [1 << (n - 1)]
-        mate1, _, _, _ = bipartite._hopcroft_karp(rows, n)
+        mate1, _, _, _ = bipartite._max_matching(rows, n)
         assert mate1 == list(range(n))
         value, chosen1, chosen2 = unit_weight_independent_set(rows, n)
         assert value == n
@@ -216,9 +216,9 @@ class TestUnitWeightIndependentSet:
 
     def test_augments_past_a_non_maximum_seed(self):
         # the seed matches a_0 - b_1 and leaves a_1, adjacent to b_1 only,
-        # free; the phases must re-route a_0 to b_0
+        # free; an augmenting search must re-route a_0 to b_0
         rows = [0b11, 0b10]
-        mate1, mate2, _, _ = bipartite._hopcroft_karp(rows, 2)
+        mate1, mate2, _, _ = bipartite._max_matching(rows, 2)
         assert mate1 == [0, 1] and mate2 == [0, 1]
         value, chosen1, chosen2 = unit_weight_independent_set(rows, 2)
         assert value == 2
@@ -229,7 +229,7 @@ class TestUnitWeightIndependentSet:
     @pytest.mark.parametrize("fake", sorted(BAD_MATCHINGS))
     def test_bad_matching_or_cover_raises(self, monkeypatch, fake):
         result, message = BAD_MATCHINGS[fake]
-        monkeypatch.setattr(bipartite, "_hopcroft_karp",
+        monkeypatch.setattr(bipartite, "_max_matching",
                             lambda rows, num2: result)
         with pytest.raises(FlowCertificateError, match=message):
             unit_weight_independent_set([1, 0], 1)
@@ -238,7 +238,7 @@ class TestUnitWeightIndependentSet:
         # python -O strips assert statements; the certificate must survive
         script = (
             "from crossint import bipartite, FlowCertificateError\n"
-            "bipartite._hopcroft_karp = lambda rows, num2: "
+            "bipartite._max_matching = lambda rows, num2: "
             f"{BAD_MATCHINGS['cover larger than matching'][0]!r}\n"
             "try:\n"
             "    bipartite.unit_weight_independent_set([1, 0], 1)\n"
@@ -252,9 +252,10 @@ class TestUnitWeightIndependentSet:
 
 
 def reference_hopcroft_karp(rows, num2):
-    """bipartite._hopcroft_karp as written before its seed and DFS step
-    took the highest free bit: each row in order takes its lowest free
-    side-2 bit, and so does each DFS step."""
+    """The oracle's Hopcroft-Karp matching as it stood before its seed and
+    DFS step took the highest free bit (and before one breadth-first
+    augmenting search replaced its phases): each row in order takes its
+    lowest free side-2 bit, and so does each DFS step."""
     num1 = len(rows)
     mate1, mate2 = [-1] * num1, [-1] * num2
     full2 = free2 = (1 << num2) - 1
@@ -324,13 +325,24 @@ def reference_hopcroft_karp(rows, num2):
     return mate1, mate2, [d >= 0 for d in dist], full2 ^ unseen
 
 
+def far_end_seed_size(rows, num2):
+    """The number of pairs the greedy seed of ``_max_matching`` makes:
+    each row in order takes its highest free side-2 bit."""
+    free2, pairs = (1 << num2) - 1, 0
+    for row in rows:
+        if nb := row & free2:
+            free2 ^= 1 << nb.bit_length() - 1
+            pairs += 1
+    return pairs
+
+
 def oracle_graphs():
-    """Every (rows, num2) that ``_hopcroft_karp`` gets from the oracle on
+    """Every (rows, num2) that ``_max_matching`` gets from the oracle on
     the deep-audit instances of the set-audit benchmark (verify and the
     reduction audit, C(n, k) <= 35, k 2..6) and on the eight instances of
     the verify-oracle benchmark."""
     graphs = []
-    solve = bipartite._hopcroft_karp
+    solve = bipartite._max_matching
 
     def recording(rows, num2):
         graphs.append((list(rows), num2))
@@ -343,7 +355,7 @@ def oracle_graphs():
                                    (11, 5, 2), (12, 5, 2), (11, 5, 3),
                                    (12, 5, 3), (12, 6, 3))]
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(bipartite, "_hopcroft_karp", recording)
+        patched.setattr(bipartite, "_max_matching", recording)
         for params in audit:
             verify_theorem(params)
             max_sum_nonempty_unreduced(params)
@@ -360,13 +372,39 @@ class TestAgainstLowestBitSeed:
         assert (instances, len(graphs)) == (15, 2873)
         for rows, num2 in graphs:
             mate1, mate2, reached1, reached2 = \
-                bipartite._hopcroft_karp(rows, num2)
+                bipartite._max_matching(rows, num2)
             ref1, _, ref_reached1, ref_reached2 = \
                 reference_hopcroft_karp(rows, num2)
             size = sum(b >= 0 for b in mate1)
             assert size == sum(b >= 0 for b in ref1)
             assert size == sum(a >= 0 for a in mate2)
             assert reached1 == ref_reached1 and reached2 == ref_reached2
+            # the traffic _max_matching's docstring counts on: at most 7
+            # augmenting searches past the far-end seed
+            assert size - far_end_seed_size(rows, num2) <= 7
+
+    def test_seed_that_leaves_many_rows_free(self):
+        # rows 0b11 << 2i and 0b10 << 2i, 300 copies: the seed matches
+        # each first row to its high bit and leaves each second row free,
+        # so every copy needs one augmenting search
+        copies = 300
+        rows = [r << 2 * i for i in range(copies) for r in (0b11, 0b10)]
+        num2 = 2 * copies
+        assert far_end_seed_size(rows, num2) == copies
+        mate1, mate2, reached1, reached2 = bipartite._max_matching(rows, num2)
+        ref1, _, ref_reached1, ref_reached2 = \
+            reference_hopcroft_karp(rows, num2)
+        size = sum(b >= 0 for b in mate1)
+        assert size == sum(b >= 0 for b in ref1) == num2
+        assert size == sum(a >= 0 for a in mate2)
+        assert reached1 == ref_reached1 and reached2 == ref_reached2
+        value, chosen1, chosen2 = unit_weight_independent_set(rows, num2)
+        edges = {(a, b) for a, row in enumerate(rows) for b in range(num2)
+                 if row >> b & 1}
+        chosen, weight = dinic_reference(len(rows), num2, edges)
+        assert value == weight == num2
+        assert chosen == frozenset([(1, a) for a in chosen1]
+                                   + [(2, b) for b in chosen2])
 
 
 @st.composite
