@@ -32,7 +32,7 @@ from .orbitgraph import (ChainDecomposition, OrbitGraph, OrbitVertex,
                          path_mwis, validate_decomposition)
 from .oracle import (DEFAULT_ORACLE_CAP, conflict_graph_mis, max_sum_nonempty,
                      max_sum_nonempty_unreduced, verify_theorem)
-from .report import ReportBundle, Verdict, emit_report, skip_record
+from .report import ReportBundle, Verdict, emit_report
 from .sweep import CHECK_NAMES, SweepSpec, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

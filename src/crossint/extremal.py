@@ -22,10 +22,26 @@ w(i) >= w(k+s-1-i) exactly when 2i <= k+s-1.  Write j = k+s-1-i.
 So below the midpoint w(i)/w(j) > 1 at l = 0 and grows with l; above
 it w(j)/w(i) does the same; at the midpoint i = j.  At s = 1 step 1
 fails: i-s+1 = i, every mirror pair ties at l = 0, and the law as
-stated does not hold there.  Tests pin each step in cross-multiplied
-integers.  Both laws and the orbit graph slice one row w(0..k) per (n, k),
-built by the recurrence w(i+1) = w(i) (k-i)^2 / ((i+1)(n-2k+i+1)); a division
-with a remainder raises ArithmeticError (not an assert: python -O keeps it).
+stated does not hold there.
+
+Offset law (lemma2).  For s <= lo < hi <= k-1 and l >= 0, pairing the
+factors of the two binomials gives
+    w(lo)/w(hi) = prod_{t=1..hi-lo} (lo+t)(n-2k+lo+t) / (k-hi+t)^2.
+Put sigma = lo+hi-k, x = k-hi+t >= 1 and r = 2k-2(lo+hi)-l+s-1.  Then
+lo+t = x+sigma and n-2k+lo+t = x-sigma-r > 0, so factor t is
+1 - (r x + sigma(sigma+r))/x^2, at most 1 iff r x + sigma(sigma+r) >= 0.
+The checker pairs floor((k-l)/2)-d with floor((k+s-1)/2)+d, so
+r = (k-l mod 2) + (k+s-1 mod 2) is 0, 1 or 2; the offset edges of
+``orbitgraph.classify_edges`` give r = 1 - (k+s-1 mod 2) for odd k-l
+and k+s-1 mod 2 for even k-l, so 0 or 1.  As sigma is an integer,
+sigma(sigma+r) >= 0 for r <= 1, and at r = 2 it is (sigma+1)^2 - 1 >= -1
+while 2x >= 2.  So every factor is at most 1, and w(lo) <= w(hi) on
+every pair either one states.
+
+Tests pin each step of both proofs in cross-multiplied integers.  Both
+laws and the orbit graph slice one row w(0..k) per (n, k), built by the
+recurrence w(i+1) = w(i) (k-i)^2 / ((i+1)(n-2k+i+1)); a division with a
+remainder raises ArithmeticError (not an assert: python -O keeps it).
 """
 
 from functools import lru_cache
@@ -60,7 +76,10 @@ def orbit_weight(i: int, params: Params) -> int:
     return binom(k, i) * binom(n - k, k - i)
 
 
-@lru_cache(maxsize=1)  # sweeps run in (n, k, s) order: one live row
+# A sweep runs in (n, k, s) order and needs one live row.  A loop over
+# l = 0..60 within each (k, s) meets 61 rows, all but one of them again
+# in the next (k, s) block, so 64 rows keep those repeats hits.
+@lru_cache(maxsize=64)
 def _weight_row(n: int, k: int) -> tuple:
     """(w(0), ..., w(k)) by the exact recurrence, from the first profile
     with sets (i >= 2k-n, so n-2k+i+1 >= 1); earlier ones weigh 0."""
@@ -103,8 +122,6 @@ def _weight_law_verdict(claim: str, params: Params, checked: int,
     return Verdict(
         claim=claim,
         params=params,
-        formula_value=None,
-        oracle_value=None,
         passed=not failed,
         witness=failed or None,
         detail=(f"{checked} instances checked"

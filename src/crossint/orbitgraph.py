@@ -111,7 +111,7 @@ class OrbitGraph:
             tuple(((1, i), (2, t)) for i, t in self._edge_list()))
 
 
-@lru_cache(maxsize=1)  # sweeps run in (n, k, s) order: one live (n, k)
+@lru_cache(maxsize=64)  # sized as extremal._weight_row, for the same loops
 def _vertex_rows(n: int, k: int) -> tuple:
     """OrbitVertex records of profiles 0..k-1, one row per side."""
     return tuple(tuple(map(OrbitVertex, repeat(side), range(k),
@@ -526,8 +526,6 @@ def _biregular_verdict(params: Params, pair, sizes, degrees) -> Verdict:
     return Verdict(
         claim="orbit-pair.biregular",
         params=params,
-        formula_value=None,
-        oracle_value=None,
         passed=passed,
         witness={"profile_pair": pair, "sizes": sizes, "degrees": degrees},
         detail=(f"degrees {deg_i[0]} x {deg_t[0]} on orbit sizes {size_i} x "

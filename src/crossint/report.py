@@ -13,58 +13,39 @@ from dataclasses import dataclass
 from .sets import Params
 
 
-def _params_fields(params):
-    if params is None:
-        return {"n": None, "k": None, "s": None, "l": None}
-    return {"n": params.n, "k": params.k, "s": params.s, "l": params.l}
-
-
 @dataclass
 class Verdict:
     """Outcome of one verification claim on one parameter instance: the
-    one record type of every pass or fail record a sweep writes.
+    one record type of every pass, fail or skip record a sweep writes.
 
-    Its record's ``millis`` is ``None``; the sweep stamps the time when
-    the check hands the record over."""
+    ``passed`` is ``None`` for a check that did not run, with the reason
+    in ``detail``.  Its record's ``millis`` is ``None``; the sweep stamps
+    the time of each pass or fail record when the check hands it over."""
 
-    claim: str
-    params: Params | None
-    formula_value: int | None
-    oracle_value: int | None
-    passed: bool
+    claim: str | None
+    params: Params
+    formula_value: int | None = None
+    oracle_value: int | None = None
+    passed: bool | None = None
     witness: object = None
     detail: str = ""
 
     def to_record(self, check: str | None = None) -> dict:
-        rec = _params_fields(self.params)
-        rec.update({
+        """The record of this verdict under the registered ``check``; a
+        claim left ``None`` means the check's own name."""
+        p = self.params
+        return {
+            "n": p.n, "k": p.k, "s": p.s, "l": p.l,
             "check": check or self.claim,
-            "claim": self.claim,
-            "status": "pass" if self.passed else "fail",
+            "claim": self.claim or check,
+            "status": ("skip" if self.passed is None
+                       else "pass" if self.passed else "fail"),
             "formula_value": self.formula_value,
             "oracle_value": self.oracle_value,
             "detail": self.detail,
             "witness": self.witness,
             "millis": None,
-        })
-        return rec
-
-
-def skip_record(params, check: str, reason: str, claim: str | None = None) -> dict:
-    """The record of a check that did not run; ``claim`` defaults to the
-    check's name."""
-    rec = _params_fields(params)
-    rec.update({
-        "check": check,
-        "claim": claim or check,
-        "status": "skip",
-        "formula_value": None,
-        "oracle_value": None,
-        "detail": reason,
-        "witness": None,
-        "millis": None,
-    })
-    return rec
+        }
 
 
 CSV_COLUMNS = ("n", "k", "s", "l", "check", "formula_value", "oracle_value",
@@ -136,34 +117,24 @@ class ReportBundle:
     def passed(self) -> bool:
         return self.summary["fail"] == 0
 
-    def _render(self, fmt: str) -> str:
-        """The report text, laid out by the same functions that stream a
-        sweep's records into the CLI's spool."""
-        if fmt not in REPORT_FORMATS:
-            raise ValueError(f"unknown report format {fmt!r}")
-        body = io.StringIO()
-        summary = write_records(self.records, fmt, body)
-        meta = {"tool": self.tool, "version": self.version,
-                "spec": self.spec, "summary": summary}
-        return (report_head(fmt, meta) + body.getvalue()
-                + report_tail(fmt, self.runtime_millis))
-
-    def to_json(self) -> str:
-        """One JSON object, one record per line.
-
-        The first line holds tool, version, spec and summary and opens
-        ``"records": [``; the last closes it with ``runtime_millis``.  No
-        ``indent`` is passed, so the stdlib's C encoder renders everything.
-        """
-        return self._render("json")
-
-    def to_csv(self) -> str:
-        return self._render("csv")
-
 
 def emit_report(bundle: ReportBundle, fmt: str = "json", path=None) -> str:
-    """Render a bundle as JSON or CSV, optionally writing it to a file."""
-    text = bundle._render(fmt)
+    """Render a bundle as JSON or CSV, optionally writing it to a file,
+    laid out by the same functions that stream a sweep's records into
+    the CLI's spool.
+
+    JSON is one object, one record per line: the first line holds tool,
+    version, spec and summary and opens ``"records": [``; the last closes
+    it with ``runtime_millis``.  No ``indent`` is passed, so the stdlib's
+    C encoder renders everything."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    body = io.StringIO()
+    summary = write_records(bundle.records, fmt, body)
+    meta = {"tool": bundle.tool, "version": bundle.version,
+            "spec": bundle.spec, "summary": summary}
+    text = (report_head(fmt, meta) + body.getvalue()
+            + report_tail(fmt, bundle.runtime_millis))
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

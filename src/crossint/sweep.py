@@ -1,11 +1,12 @@
 """Batch driver: run selected checks over a parameter grid.
 
 Checks are registered by name; every check maps one parameter triple to
-report records (pass / fail / skip), yielded one at a time so that the
-sweep times each as it arrives.  Instances are
-independent, so a sweep can fan out over worker processes.  Records
-come out one triple at a time, in a fixed order that never depends on
-scheduling, so a caller can write them out as they arrive.
+verdicts (pass / fail / skip), yielded one at a time so that the sweep
+times each as it arrives and files it under the check's name.
+Instances are independent, so a sweep can fan out over worker
+processes.  Records come out one triple at a time, in a fixed order
+that never depends on scheduling, so a caller can write them out as
+they arrive.
 """
 
 import time
@@ -25,11 +26,8 @@ from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
 from .orbitgraph import (_decompose, _orbit_masks, _transposed,
                          _verdict_by_offsets, build_orbit_graph,
                          check_biregularity, validate_decomposition)
-from .report import ReportBundle, Verdict, skip_record
+from .report import ReportBundle, Verdict
 from .sets import Params, binom
-
-CHECK_NAMES = ("theorem", "lemma1", "lemma2", "chains", "edges", "biregular",
-               "hm")
 
 #: Anchor-pair audit is quadratic in C(n, k); keep it tiny.
 DEEP_AUDIT_CAP = 35
@@ -105,15 +103,14 @@ NEEDS_ORBIT_LAYER = "inapplicable: needs s >= 2 and slack l >= 0"
 
 def _check_theorem(params: Params, spec: SweepSpec):
     if binom(params.n, params.k) > spec.cap:
-        yield skip_record(params, "theorem",
-                          f"skipped: cap (C(n,k) > {spec.cap})")
+        yield Verdict(None, params,
+                      detail=f"skipped: cap (C(n,k) > {spec.cap})")
         return
     verdict = verify_theorem(params, cap=spec.cap)
-    yield verdict.to_record("theorem")
+    yield verdict
     if spec.deep_audit and binom(params.n, params.k) > DEEP_AUDIT_CAP:
-        yield skip_record(params, "theorem", "skipped: deep-audit cap "
-                          f"(C(n,k) > {DEEP_AUDIT_CAP})",
-                          claim="theorem.reduction-audit")
+        yield Verdict("theorem.reduction-audit", params, detail="skipped: "
+                      f"deep-audit cap (C(n,k) > {DEEP_AUDIT_CAP})")
     elif spec.deep_audit:
         unreduced = max_sum_nonempty_unreduced(params, cap=spec.cap)
         yield Verdict(
@@ -123,12 +120,12 @@ def _check_theorem(params: Params, spec: SweepSpec):
             oracle_value=unreduced,
             passed=verdict.oracle_value == unreduced,
             detail="canonical-anchor oracle vs all-anchor-pairs oracle",
-        ).to_record("theorem")
+        )
 
 
 def _check_lemma1(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
-        yield skip_record(params, "lemma1", NEEDS_ORBIT_LAYER)
+        yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
     weight = interval_independent_set(graph.weights, graph.weights,
@@ -141,7 +138,7 @@ def _check_lemma1(params: Params, spec: SweepSpec):
         oracle_value=weight,
         passed=weight == want,
         detail="orbit-graph MWIS vs extremal family size minus one",
-    ).to_record("lemma1")
+    )
 
     if binom(params.n, params.k) <= spec.cap:
         mis = conflict_graph_mis(params, cap=spec.cap)
@@ -152,17 +149,17 @@ def _check_lemma1(params: Params, spec: SweepSpec):
             oracle_value=mis,
             passed=mis == weight,
             detail="set-level conflict-graph MIS vs orbit-level MWIS",
-        ).to_record("lemma1")
+        )
 
 
 def _check_lemma2(params: Params, spec: SweepSpec):
     # the mirror law is proved for s >= 2 only: at s = 1, l = 0 every
     # mirror pair ties
     if params.s < 2 or params.l < 0:
-        yield skip_record(params, "lemma2", NEEDS_ORBIT_LAYER)
+        yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
-    for check in (check_mirror_weight_ordering, check_offset_weight_ordering):
-        yield check(params).to_record("lemma2")
+    yield check_mirror_weight_ordering(params)
+    yield check_offset_weight_ordering(params)
 
 
 #: The offset intervals of each chain class met in the current sweep
@@ -184,7 +181,7 @@ def _check_chains(params: Params, spec: SweepSpec):
     validator's verdict, failing or not.  Until then each triple of the
     class is validated in full."""
     if params.s < 2 or params.l < 0:
-        yield skip_record(params, "chains", NEEDS_ORBIT_LAYER)
+        yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
     key = graph.offset_intervals
@@ -196,7 +193,7 @@ def _check_chains(params: Params, spec: SweepSpec):
         verdict = validate_decomposition(dec, graph)
         if verdict.passed:
             _CHAIN_PATHS[key] = dec.offset_paths()
-    yield verdict.to_record("chains")
+    yield verdict
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:
@@ -224,7 +221,7 @@ def _check_edges(params: Params, spec: SweepSpec):
     Each orbit is enumerated once per triple, and each unordered pair
     once, since |x ∩ y| = |y ∩ x|."""
     if params.l < 0:
-        yield skip_record(params, "edges", "inapplicable: slack l < 0")
+        yield Verdict(None, params, detail="inapplicable: slack l < 0")
         return
     profiles = range(params.s, params.k)
     graph = build_orbit_graph(params) if params.s >= 2 else None
@@ -251,17 +248,15 @@ def _check_edges(params: Params, spec: SweepSpec):
     yield Verdict(
         claim="edges.rule-equivalence",
         params=params,
-        formula_value=None,
-        oracle_value=None,
         passed=not mismatches,
         witness=mismatches or None,
         detail=detail if not mismatches else f"mismatches: {mismatches[:3]}",
-    ).to_record("edges")
+    )
 
 
 def _check_biregular(params: Params, spec: SweepSpec):
     if params.s < 2 or params.l < 0:
-        yield skip_record(params, "biregular", NEEDS_ORBIT_LAYER)
+        yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     edges = sorted(build_orbit_graph(params).edges)
     failures = []
@@ -277,26 +272,24 @@ def _check_biregular(params: Params, spec: SweepSpec):
             if not verdict.passed:
                 failures.append((i, t, verdict.detail))
     except EnumerationTooLarge as exc:
-        yield skip_record(params, "biregular", f"skipped: cap ({exc})")
+        yield Verdict(None, params, detail=f"skipped: cap ({exc})")
         return
     yield Verdict(
         claim="edges.biregular-premise",
         params=params,
-        formula_value=None,
-        oracle_value=None,
         passed=not failures,
         witness={"degrees": degrees},
         detail=(f"{len(edges)} conflicting orbit pairs, all biregular"
                 if not failures else f"failures: {failures[:3]}"),
-    ).to_record("biregular")
+    )
 
 
 def _check_hm(params: Params, spec: SweepSpec):
     if params.s != 1:
-        yield skip_record(params, "hm", "inapplicable: needs s = 1")
+        yield Verdict(None, params, detail="inapplicable: needs s = 1")
         return
     if params.l < 0:
-        yield skip_record(params, "hm", "inapplicable: slack l < 0")
+        yield Verdict(None, params, detail="inapplicable: slack l < 0")
         return
     n, k = params.n, params.k
     identity = binom(n, k) - binom(n - k, k)
@@ -307,7 +300,7 @@ def _check_hm(params: Params, spec: SweepSpec):
         oracle_value=size_extremal_family(params),
         passed=size_extremal_family(params) == identity,
         detail="s=1 extremal size vs C(n,k) - C(n-k,k)",
-    ).to_record("hm")
+    )
 
 
 CHECKS = {
@@ -320,22 +313,26 @@ CHECKS = {
     "hm": _check_hm,
 }
 
+CHECK_NAMES = tuple(CHECKS)
+
 
 def _run_instance(spec: SweepSpec, triple) -> list:
     """One triple's records, sorted by (check, claim).
 
-    This is the one place a record's ``millis`` is set: a check yields
-    its records as it produces them, and each pass or fail record gets
-    the time since the check started or yielded its previous record.
+    This is the one place a verdict becomes a record, under its check's
+    name, and the one place a record's ``millis`` is set: a check yields
+    its verdicts as it reaches them, and each pass or fail record gets
+    the time since the check started or yielded its previous verdict.
     Skip records keep ``None``."""
     n, k, s = triple
     params = Params(n, k, s)
     records = []
     for name in spec.checks:
         start = time.perf_counter()
-        for record in CHECKS[name](params, spec):
+        for verdict in CHECKS[name](params, spec):
+            record = verdict.to_record(name)
             now = time.perf_counter()
-            if record["status"] != "skip":
+            if verdict.passed is not None:
                 record["millis"] = (now - start) * 1000.0
             records.append(record)
             start = now

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from crossint import (CrossIntError, Params, cli, emit_report, run_sweep,
-                      skip_record, sweep)
+from crossint import (CrossIntError, Params, Verdict, cli, emit_report,
+                      run_sweep, sweep)
 from crossint.cli import main
 from crossint.sweep import iter_records
 
@@ -168,7 +168,8 @@ class TestStreamedReport:
         # the order of one sort over every record of the sweep
         reference = sorted(
             (rec for n, k, s in spec.instances() for name in spec.checks
-             for rec in sweep.CHECKS[name](Params(n, k, s), spec)),
+             for verdict in sweep.CHECKS[name](Params(n, k, s), spec)
+             for rec in [verdict.to_record(name)]),
             key=lambda r: (r["n"], r["k"], r["s"], r["check"], r["claim"]))
         assert strip_millis(iter_records(spec)) == strip_millis(reference)
 
@@ -181,7 +182,7 @@ class TestStreamedReport:
             calls.append(params)
             if len(calls) == 3:
                 raise CrossIntError("injected failure")
-            return [skip_record(params, "hm", "written before the failure")]
+            return [Verdict(None, params, detail="written before the failure")]
 
         monkeypatch.setitem(sweep.CHECKS, "hm", fails_on_third_triple)
         argv = ["verify", "--checks", "hm", "--k-range", "3:6", "--s", "1",

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 from operator import attrgetter
@@ -11,8 +12,9 @@ from crossint import (IndexNotMeaningful, Params,
                       check_offset_weight_ordering, extremal_pair,
                       is_s_cross_intersecting, min_pair_intersection,
                       orbit_weight, orbit_weights, size_extremal_family)
+from crossint.orbitgraph import build_orbit_graph, classify_edges
 
-from conftest import pinned_grid
+from conftest import pinned_grid, small_graph_params
 
 
 def orbit_masks(params, profile):
@@ -117,7 +119,7 @@ class TestOrbitWeightList:
         for params in grid + sorted(grid, key=attrgetter("n", "k", "s")):
             assert orbit_weights(params) == reference_orbit_weights(params), \
                 params
-        assert extremal._weight_row.cache_info().maxsize == 1
+        assert extremal._weight_row.cache_info().maxsize == 64
 
     def test_equals_closed_form_on_criterion_7_range(self):
         # every triple of criterion 7 (k <= 60, l <= 60)
@@ -419,6 +421,93 @@ class TestOffsetWeightOrdering:
     def test_needs_nonnegative_slack(self):
         with pytest.raises(ParamsOutOfRange):
             check_offset_weight_ordering(Params(6, 4, 2))
+
+
+def checker_pairs(k, s, l):
+    """The (lo, hi) profile pairs check_offset_weight_ordering compares."""
+    a, b = (k - l) // 2, (k + s - 1) // 2
+    return [(a - d, b + d) for d in range(1, min(a - s, k - 1 - b) + 1)]
+
+
+def offset_edge_pairs(k, s, l):
+    """The (lo, hi) profile pairs of the offset edges (type 3), by the
+    rule in the ``orbitgraph`` docstring."""
+    if (k - l) % 2:
+        low, high = (k - l) // 2, -(-(k + s - 1) // 2)
+    else:
+        low, high = (k - l) // 2 - 1, (k + s - 1) // 2 + 1
+    return [(low - d, high + d)
+            for d in range(min(low - s, k - 1 - high) + 1)]
+
+
+def offset_r(k, s, l, lo, hi):
+    """r = 2k - 2(lo+hi) - l + s - 1 of the offset law's proof."""
+    return 2 * k - 2 * (lo + hi) - l + s - 1
+
+
+class TestOffsetLawProof:
+    """Each step of the offset law's proof (``extremal`` docstring), in
+    exact integers: w(lo) <= w(hi) because every factor of the paired
+    product is at most 1."""
+
+    def test_offset_edge_pairs_are_those_classify_edges_types(self):
+        for params in small_graph_params(k_max=12, l_max=8):
+            typed = classify_edges(build_orbit_graph(params))
+            pairs = {tuple(sorted((e.left.i, e.right.i)))
+                     for e in typed if e.edge_type == 3}
+            assert pairs == \
+                set(offset_edge_pairs(params.k, params.s, params.l)), params
+
+    def test_r_values_on_criterion_7_range(self):
+        # checker pairs: r = (k-l mod 2) + (k+s-1 mod 2); offset edges:
+        # r in {0, 1}
+        checker, edges = Counter(), Counter()
+        for k in range(3, 61):
+            for s in range(2, k):
+                for l in range(61):
+                    for lo, hi in checker_pairs(k, s, l):
+                        r = offset_r(k, s, l, lo, hi)
+                        assert r == (k - l) % 2 + (k + s - 1) % 2
+                        checker[r] += 1
+                    for lo, hi in offset_edge_pairs(k, s, l):
+                        edges[offset_r(k, s, l, lo, hi)] += 1
+        assert sorted(checker) == [0, 1, 2]
+        assert sum(checker.values()) == 113_680
+        assert sorted(edges) == [0, 1]
+        assert sum(edges.values()) == 121_800
+
+    def test_paired_factors_on_orbit_sweep_range(self):
+        # k <= 30, l <= 30: w(lo)/w(hi) is the product of the factors
+        # (lo+t)(n-2k+lo+t)/(k-hi+t)^2, and x^2 minus the numerator of
+        # factor t is r*x + sigma(sigma+r) >= 0
+        pairs_seen = 0
+        for k in range(3, 31):
+            for s in range(2, k):
+                for l in range(31):
+                    n = 2 * k - s + 1 + l
+                    params = Params(n, k, s)
+                    pairs = set(checker_pairs(k, s, l))
+                    pairs.update(offset_edge_pairs(k, s, l))
+                    for lo, hi in pairs:
+                        sigma, r = lo + hi - k, offset_r(k, s, l, lo, hi)
+                        # sigma is an integer: sigma(sigma+r) >= -1 at r = 2
+                        assert sigma * (sigma + r) >= (r == 2) * -1
+                        top_product = bottom_product = 1
+                        for t in range(1, hi - lo + 1):
+                            x = k - hi + t
+                            a, b = lo + t, n - 2 * k + lo + t
+                            assert x >= 1 and a > 0 and b > 0
+                            assert (a, b) == (x + sigma, x - sigma - r)
+                            assert x * x - a * b == r * x + sigma * (sigma + r)
+                            assert a * b <= x * x
+                            top_product *= a * b
+                            bottom_product *= x * x
+                        w_lo, w_hi = orbit_weight(lo, params), \
+                            orbit_weight(hi, params)
+                        assert w_lo * bottom_product == w_hi * top_product
+                        assert w_lo <= w_hi
+                        pairs_seen += 1
+        assert pairs_seen == 8190
 
 
 class TestExtremalPair:

@@ -12,7 +12,7 @@ from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
 from crossint.orbitgraph import build_chain_decomposition, validate_decomposition
 from crossint.oracle import _conflict_rows, _iter_conflict_rows
-from crossint.report import CSV_COLUMNS, Verdict, skip_record
+from crossint.report import CSV_COLUMNS, Verdict
 from crossint.sweep import CHECK_NAMES
 
 from conftest import break_chain_decompositions
@@ -23,6 +23,18 @@ def strip_timings(records):
     for rec in out:
         rec["millis"] = None
     return out
+
+
+def check_records(name, params, spec):
+    """The records of one registered check called directly on a triple,
+    untimed."""
+    return [verdict.to_record(name)
+            for verdict in sweep.CHECKS[name](params, spec)]
+
+
+#: The keys of every record, in the order ``Verdict.to_record`` lays out.
+RECORD_KEYS = ["n", "k", "s", "l", "check", "claim", "status",
+               "formula_value", "oracle_value", "detail", "witness", "millis"]
 
 
 class TestSweepSpec:
@@ -151,19 +163,31 @@ class TestRunSweep:
         assert theorem["millis"] < 300
 
     def test_only_pass_and_fail_records_are_timed(self):
-        # every check, with pass, fail (broken chains) and skip records
-        spec = SweepSpec(ks=(3, 4, 5), ss=(1, 2), ls=(0, 1), checks=CHECK_NAMES,
-                         cap=30, deep_audit=True)
+        # every check passes and skips (s = 1, l < 0, C(n,k) over the cap,
+        # the deep audit over its own), and chains fail (broken paths);
+        # every record has one layout
+        spec = SweepSpec(ks=(3, 4, 5), ss=(1, 2), ns=tuple(range(4, 10)),
+                         checks=CHECK_NAMES, cap=60, deep_audit=True)
         seen = set()
+        renamed_skips = set()
         with pytest.MonkeyPatch.context() as patch:
             break_chain_decompositions(patch)
             for rec in sweep.iter_records(spec):
-                seen.add(rec["status"])
+                assert list(rec) == RECORD_KEYS, rec
+                seen.add((rec["check"], rec["status"]))
                 if rec["status"] == "skip":
                     assert rec["millis"] is None, rec
+                    if rec["claim"] != rec["check"]:
+                        renamed_skips.add((rec["check"], rec["claim"]))
+                        assert "deep-audit cap" in rec["detail"], rec
                 else:
                     assert type(rec["millis"]) is float and rec["millis"] >= 0, rec
-        assert seen == {"pass", "fail", "skip"}
+        assert {status for _, status in seen} == {"pass", "fail", "skip"}
+        assert {(name, "skip") for name in CHECK_NAMES} <= seen
+        assert {(name, "pass") for name in CHECK_NAMES if name != "chains"} \
+            <= seen
+        assert ("chains", "fail") in seen
+        assert renamed_skips == {("theorem", "theorem.reduction-audit")}
 
     @pytest.mark.parametrize("name,detail", [
         ("theorem", "skipped: cap (C(n,k) > 1)"),
@@ -177,8 +201,8 @@ class TestRunSweep:
         # (4, 3, 2) has slack l = -1 and C(4, 3) = 4 > cap
         params = Params(4, 3, 2)
         spec = SweepSpec(ks=(3,), ss=(2,), ns=(4,), checks=(name,), cap=1)
-        assert list(sweep.CHECKS[name](params, spec)) == \
-            [skip_record(params, name, detail)]
+        assert check_records(name, params, spec) == \
+            [Verdict(None, params, detail=detail).to_record(name)]
 
     def test_deep_audit_above_its_cap_is_a_skip(self):
         spec = SweepSpec(ks=(4,), ss=(2,), ns=(9,), checks=("theorem",),
@@ -225,7 +249,7 @@ class TestEmitReport:
 
     def test_json_round_trip(self):
         bundle = self.bundle()
-        payload = json.loads(bundle.to_json())
+        payload = json.loads(emit_report(bundle, "json"))
         assert payload["tool"] == "crossint"
         assert payload["summary"]["pass"] == 6
         assert len(payload["records"]) == 6
@@ -233,7 +257,7 @@ class TestEmitReport:
     def test_csv_shape(self):
         # six pass records -> header plus six rows
         bundle = self.bundle()
-        rows = list(csv.reader(io.StringIO(bundle.to_csv())))
+        rows = list(csv.reader(io.StringIO(emit_report(bundle, "csv"))))
         assert rows[0] == ["n", "k", "s", "l", "check", "formula_value",
                            "oracle_value", "verdict", "millis"]
         assert len(rows) == 7
@@ -253,7 +277,7 @@ class TestEmitReport:
     def test_empty_bundle_is_valid(self):
         bundle = ReportBundle(tool="crossint", version="0", spec={},
                               records=[])
-        payload = json.loads(bundle.to_json())
+        payload = json.loads(emit_report(bundle, "json"))
         assert payload["records"] == []
         assert bundle.passed
 
@@ -282,7 +306,7 @@ class TestEmitReport:
     def test_records_parse_back(self):
         # Tuples in a witness come back as lists, as they always did.
         bundle = self.mixed_bundle()
-        payload = json.loads(bundle.to_json())
+        payload = json.loads(emit_report(bundle, "json"))
         assert payload["records"] == json.loads(
             json.dumps(bundle.records, indent=2, default=str))
         assert payload["summary"] == bundle.summary
@@ -291,7 +315,7 @@ class TestEmitReport:
 
     def test_one_record_per_line(self):
         bundle = self.mixed_bundle()
-        lines = bundle.to_json().splitlines()
+        lines = emit_report(bundle, "json").splitlines()
         assert len(lines) == len(bundle.records) + 2
         assert lines[0].endswith('"records": [')
         assert lines[-1].startswith('], "runtime_millis": ')
@@ -312,7 +336,7 @@ class TestEmitReport:
         if bundle.records:
             lines.append(",\n".join(map(encode, bundle.records)))
         lines += [f'], "runtime_millis": {encode(bundle.runtime_millis)}}}', ""]
-        assert bundle.to_json() == "\n".join(lines)
+        assert emit_report(bundle, "json") == "\n".join(lines)
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -321,7 +345,7 @@ class TestEmitReport:
                           rec["formula_value"], rec["oracle_value"],
                           rec["status"], rec["millis"]]
                          for rec in bundle.records)
-        assert bundle.to_csv() == buf.getvalue()
+        assert emit_report(bundle, "csv") == buf.getvalue()
 
     def test_stdout_report_equals_file_report(self, tmp_path, capsys):
         argv = ["check-lemmas", "--k", "4", "--s", "2", "--l", "0"]
@@ -493,7 +517,7 @@ class TestChainClasses:
         wrong = ((intervals[0][0], intervals[0][1] - 1),) + intervals[1:]
         monkeypatch.setattr(sweep, "_CHAIN_PATHS", {wrong: ()})
         validated = count_validations(monkeypatch)
-        records = list(sweep.CHECKS["chains"](params, self.SPEC))
+        records = check_records("chains", params, self.SPEC)
         assert validated == [params]
         assert strip_timings(records) == [full_chains_record(params)]
         assert sweep._CHAIN_PATHS == {
@@ -541,7 +565,7 @@ class TestEdgesRoute:
             for params in edges_triples(10):
                 calls.clear()
                 built.clear()
-                records = list(sweep._check_edges(params, spec))
+                records = check_records("edges", params, spec)
                 profiles = range(params.s, params.k)
                 if params.l < 0:
                     assert calls == built == []
@@ -591,8 +615,8 @@ def ordered_reference(params, spec):
     """The biregular check as one ``check_biregularity`` call per ordered
     edge of the orbit graph."""
     if params.s < 2 or params.l < 0:
-        return [skip_record(params, "biregular",
-                            "inapplicable: needs s >= 2 and slack l >= 0")]
+        return [Verdict(None, params, detail="inapplicable: needs s >= 2 "
+                        "and slack l >= 0").to_record("biregular")]
     edges = sorted(orbitgraph.build_orbit_graph(params).edges)
     failures = []
     degrees = {}
@@ -603,7 +627,8 @@ def ordered_reference(params, spec):
             if not verdict.passed:
                 failures.append((i, t, verdict.detail))
     except EnumerationTooLarge as exc:
-        return [skip_record(params, "biregular", f"skipped: cap ({exc})")]
+        return [Verdict(None, params, detail=f"skipped: cap ({exc})")
+                .to_record("biregular")]
     verdict = Verdict(
         claim="edges.biregular-premise",
         params=params,
@@ -634,7 +659,7 @@ class TestBiregularOncePerUnorderedPair:
             if params.s < 2:
                 continue
             calls.clear()
-            records = list(sweep._check_biregular(params, self.spec))
+            records = check_records("biregular", params, self.spec)
             assert strip_timings(records) == strip_timings(
                 ordered_reference(params, self.spec)), params
             if records[0]["status"] == "skip":
@@ -662,7 +687,7 @@ class TestBiregularOncePerUnorderedPair:
         backward = orbitgraph.check_biregularity(params, 3, 2)
         assert forward.detail == "degree sets [5, 6] / [18]"
         assert backward.detail == "degree sets [18] / [5, 6]"
-        [record] = sweep._check_biregular(params, self.spec)
+        [record] = check_records("biregular", params, self.spec)
         assert record["status"] == "fail"
         assert record["detail"] == (
             f"failures: {[(2, 3, forward.detail), (3, 2, backward.detail)]}")
