@@ -5,22 +5,19 @@ touches floating point.  The minimum-weight vertex cover of a weighted
 bipartite graph is computed by a source/sink flow construction (Dinic)
 whose minimum cut corresponds one-to-one with an integral cover, and the
 maximum-weight independent set is its complement.  Dinic is the generic
-solver (``max_weight_independent_set``) and the reference the others
-are tested against.  Two special shapes skip the flow network:
-unit-weight graphs given as bitset rows, one int per side-1 vertex (the
-oracle's dense conflict graphs), are solved by a maximum matching,
-seeded greedily from the far end of each row and completed by
-breadth-first augmenting searches, and the König cover read off it,
-and weighted graphs whose side-1 neighbourhoods are intervals of side 2
-(the sweep's lemma1 orbit graphs) by an earliest-deadline greedy flow
-and its residual cut.  Both give the same cover the flow would.
+solver (``max_weight_independent_set``) and the reference the matching
+is tested against.  Unit-weight graphs given as bitset rows, one int
+per side-1 vertex (the oracle's dense conflict graphs), skip the flow
+network: they are solved by a maximum matching, seeded greedily from
+the far end of each row and completed by breadth-first augmenting
+searches, and the König cover read off it, which is the cover the flow
+would give.
 """
 
 from dataclasses import dataclass
 from functools import reduce
-from heapq import heappop, heappush
 from itertools import compress
-from operator import gt, or_
+from operator import or_
 
 from .errors import FlowCertificateError
 
@@ -310,108 +307,3 @@ def unit_weight_independent_set(rows, num2):
     unreached2 = f"{reached2:0{num2}b}"[::-1].encode().translate(_UNSET)
     chosen2 = list(compress(range(num2), unreached2))
     return len(rows) + num2 - matched, chosen1, chosen2
-
-
-def _earliest_deadline_flow(weights1, weights2, intervals):
-    """Maximum flow source -> side 1 -> side 2 -> sink with capacities
-    ``weights1`` and ``weights2``, side-1 vertex a adjacent to the side-2
-    indices lo..hi of ``intervals[a] = (lo, hi)``.
-
-    Side-2 vertices are taken in ascending order, and each hands its
-    capacity to the side-1 vertices it meets that still have supply,
-    smallest right end first (Glover's greedy for convex bipartite
-    graphs).  Returns the flow as (a, b, amount) triples and the flags of
-    the side-1 and side-2 vertices reachable from the source in the final
-    residual network.
-    """
-    supply = list(weights1)
-    starts = sorted([(lo, hi, a) for a, (lo, hi) in enumerate(intervals)],
-                    reverse=True)  # popped by ascending left end
-    active, flow = [], []  # heap of (right end, a) with lo <= b
-    for b, room in enumerate(weights2):
-        while starts and starts[-1][0] <= b:
-            _, hi, a = starts.pop()
-            heappush(active, (hi, a))
-        while room and active:
-            hi, a = active[0]
-            if hi < b:
-                heappop(active)
-                continue
-            sent = min(room, supply[a])
-            flow.append((a, b, sent))
-            room -= sent
-            supply[a] -= sent
-            if not supply[a]:
-                heappop(active)
-
-    # Residual arcs: source -> a while a has supply left, a -> b on every
-    # edge, and b -> a back along each arc that carries flow.
-    reached1 = list(map(bool, supply))
-    reached2 = [False] * len(weights2)
-    queue = list(compress(range(len(supply)), reached1))
-    if queue:
-        senders = [[] for _ in weights2]
-        for a, b, _ in flow:
-            senders[b].append(a)
-    for a in queue:  # the loop also visits vertices appended below
-        lo, hi = intervals[a]
-        for b in range(lo, hi + 1):
-            if not reached2[b]:
-                reached2[b] = True
-                for c in senders[b]:
-                    if not reached1[c]:
-                        reached1[c] = True
-                        queue.append(c)
-    return flow, reached1, reached2
-
-
-def interval_independent_set(weights1, weights2, intervals):
-    """A maximum-weight independent set of a bipartite graph in which
-    side-1 vertex a (weight ``weights1[a]``) is adjacent exactly to the
-    side-2 indices lo..hi of ``intervals[a] = (lo, hi)``, an empty range
-    when lo > hi.
-
-    The flow comes from the earliest-deadline greedy, and the cover is
-    read off its residual network: side-1 vertices not reachable from the
-    source plus side-2 vertices that are.  The reachable side is the same
-    for every maximum flow, so this is the source-closest minimum cut
-    that ``min_weight_vertex_cover`` returns.  Raises
-    FlowCertificateError unless the flow is feasible on graph edges only,
-    the cover covers every edge and the cover weight equals the flow
-    value.  Returns (value, chosen side-1 indices, chosen side-2
-    indices), indices ascending.
-    """
-    num1, num2 = len(weights1), len(weights2)
-    if len(intervals) != num1:
-        raise ValueError("need one interval per side-1 vertex")
-    if min(weights1, default=1) <= 0 or min(weights2, default=1) <= 0:
-        raise ValueError("weights must be positive")
-    for lo, hi in intervals:
-        if lo <= hi and not 0 <= lo <= hi < num2:
-            raise ValueError(f"an interval leaves the side-2 indices 0..{num2 - 1}")
-    flow, reached1, reached2 = _earliest_deadline_flow(weights1, weights2,
-                                                       intervals)
-    out, into = [0] * num1, [0] * num2
-    for a, b, sent in flow:
-        lo, hi = intervals[a]
-        if not (sent > 0 and lo <= b <= hi):
-            raise FlowCertificateError(f"flow {sent} on ({a}, {b}), not a "
-                                       f"graph edge with positive flow")
-        out[a] += sent
-        into[b] += sent
-    if any(map(gt, out, weights1)) or any(map(gt, into, weights2)):
-        raise FlowCertificateError("flow exceeds a vertex weight")
-    for a, (lo, hi) in compress(enumerate(intervals), reached1):
-        if lo <= hi and not all(reached2[lo:hi + 1]):
-            raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
-                                       f"left uncovered")
-    value = sum(out)
-    cover = (sum(weights1) - sum(compress(weights1, reached1))
-             + sum(compress(weights2, reached2)))
-    if cover != value:
-        raise FlowCertificateError(f"cover weight {cover} differs from "
-                                   f"flow {value}")
-    chosen1 = [a for a, r in enumerate(reached1) if r]
-    chosen2 = [b for b, r in enumerate(reached2) if not r]
-    return sum(weights1) + sum(weights2) - value, chosen1, chosen2
-

@@ -230,7 +230,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (CrossIntError, OverflowError, OSError, ValueError) as exc:
+    except (CrossIntError, ArithmeticError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

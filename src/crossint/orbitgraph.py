@@ -9,8 +9,7 @@ neighbours of profile i form the interval
 interval per profile beside its slice w(s..k-1) of the (n, k) weight row;
 the edge set is derived when read, and ``side1``/``side2`` are slices of
 OrbitVertex rows built once per (n, k).  Both ends are non-increasing in
-i, so the graph is a bipartite permutation graph, and the lemma1 check
-solves it on weights and intervals (``interval_independent_set``).
+i, so the graph is a bipartite permutation graph.
 
 Three families of edges are singled out: profile-mirroring edges
 (i, k+s-1-i) of type 1, equal-profile edges (i, i) of type 2 inside the
@@ -474,6 +473,43 @@ def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
         mwis_total += best
     return _chains_verdict(params, len(paths), mwis_total, sum(weights),
                            failures)
+
+
+def _saturating_path_flow(graph: OrbitGraph, paths) -> bool:
+    """Whether ``paths``, in the positions of ``offset_paths``, carry a
+    flow along graph edges that saturates every vertex of both sides.
+
+    The paths must cover each of the 2m vertices exactly once and step
+    between the sides along graph edges.  Along a path v0 ... vL the
+    amounts f(e0) = w(v0) and f(et) = w(vt) - f(e(t-1)) must stay >= 0
+    and end at w(vL).  The flow then has one side's weight as its value,
+    so a minimum vertex cover weighs one side and the MWIS is
+    ``sum(graph.weights)``.  Returns False, without raising, when any
+    of this fails.
+    """
+    m, s, intervals = len(graph.weights), graph.params.s, graph.intervals
+    both, seen = graph.weights * 2, [False] * (2 * m)
+    for path in paths:
+        if not path:
+            return False
+        amount, prev = 0, None  # amount: the flow on the edge into x
+        for x in path:
+            if not 0 <= x < 2 * m or seen[x]:
+                return False
+            seen[x] = True
+            if prev is not None:
+                a, b = sorted((prev, x))  # side-1 and side-2 position
+                if not a < m <= b:
+                    return False
+                lo, hi = intervals[a]
+                if not lo <= b - m + s <= hi:
+                    return False
+            amount, prev = both[x] - amount, x
+            if amount < 0:
+                return False
+        if amount:
+            return False
+    return all(seen)
 
 
 def _orbit_masks(params: Params, profile: int):

@@ -16,15 +16,15 @@ from functools import lru_cache
 from itertools import repeat
 
 from . import __version__
-from .bipartite import interval_independent_set
+from .bipartite import max_weight_independent_set
 from .errors import ConfigError, EnumerationTooLarge
 from .extremal import (check_mirror_weight_ordering, check_offset_weight_ordering,
                        min_pair_intersection, size_extremal_family)
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_decompose, _orbit_masks, _transposed,
-                         _verdict_by_offsets, build_orbit_graph,
+from .orbitgraph import (_decompose, _orbit_masks, _saturating_path_flow,
+                         _transposed, _verdict_by_offsets, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict
 from .sets import Params, binom
@@ -124,12 +124,17 @@ def _check_theorem(params: Params, spec: SweepSpec):
 
 
 def _check_lemma1(params: Params, spec: SweepSpec):
+    """The orbit-graph MWIS against |C| - 1: one side's weight when the
+    class's chain paths carry a flow that saturates both sides, which
+    certifies it, and Dinic's value otherwise."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    weight = interval_independent_set(graph.weights, graph.weights,
-                                      graph.offset_intervals)[0]
+    if _saturating_path_flow(graph, _class_paths(graph)[0]):
+        weight = sum(graph.weights)
+    else:
+        weight = max_weight_independent_set(graph.as_bipartite())[1]
     want = size_extremal_family(params) - 1
     yield Verdict(
         claim="lemma1.orbit-certificate",
@@ -165,9 +170,28 @@ def _check_lemma2(params: Params, spec: SweepSpec):
 #: The offset intervals of each chain class met in the current sweep
 #: (``OrbitGraph.offset_intervals``, which name the class) -> the
 #: ``offset_paths`` of its first decomposition that passed the
-#: validator.  Cleared when a sweep starts and ends; each worker process
-#: of a sweep fills its own.
+#: validator, read by lemma1 and chains through ``_class_paths``.
+#: Cleared when a sweep starts and ends; each worker process of a sweep
+#: fills its own.
 _CHAIN_PATHS = {}
+
+
+def _class_paths(graph):
+    """The offset paths of ``graph``'s class and, on a memo miss, the
+    verdict of validating ``graph``'s own decomposition in full.
+
+    On a hit the verdict is None.  On a miss the paths are those of the
+    decomposition, stored only when its verdict passes."""
+    key = graph.offset_intervals
+    paths = _CHAIN_PATHS.get(key)
+    if paths is not None:
+        return paths, None
+    dec = _decompose(graph)
+    verdict = validate_decomposition(dec, graph)
+    paths = dec.offset_paths()
+    if verdict.passed:
+        _CHAIN_PATHS[key] = paths
+    return paths, verdict
 
 
 def _check_chains(params: Params, spec: SweepSpec):
@@ -184,16 +208,8 @@ def _check_chains(params: Params, spec: SweepSpec):
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    key = graph.offset_intervals
-    paths = _CHAIN_PATHS.get(key)
-    if paths is not None:
-        verdict = _verdict_by_offsets(graph, paths)
-    else:
-        dec = _decompose(graph)
-        verdict = validate_decomposition(dec, graph)
-        if verdict.passed:
-            _CHAIN_PATHS[key] = dec.offset_paths()
-    yield verdict
+    paths, verdict = _class_paths(graph)
+    yield _verdict_by_offsets(graph, paths) if verdict is None else verdict
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:

@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from heapq import heappop, heappush
 from math import comb
 from pathlib import Path
 
@@ -14,12 +13,10 @@ from crossint import (FlowCertificateError, FlowNetwork, Params,
                       WeightedBipartiteGraph, bipartite, max_flow,
                       max_sum_nonempty_unreduced, max_weight_independent_set,
                       min_weight_vertex_cover, verify_theorem)
-from crossint.bipartite import (interval_independent_set,
-                                unit_weight_independent_set)
+from crossint.bipartite import unit_weight_independent_set
 from crossint.orbitgraph import build_orbit_graph
 
-from conftest import (exhaustive_mwis, pinned_grid, random_bipartite,
-                      small_graph_params)
+from conftest import exhaustive_mwis, random_bipartite
 
 
 def graph_3_2_4():
@@ -405,214 +402,6 @@ class TestAgainstLowestBitSeed:
         assert value == weight == num2
         assert chosen == frozenset([(1, a) for a in chosen1]
                                    + [(2, b) for b in chosen2])
-
-
-@st.composite
-def interval_graphs(draw):
-    """(weights1, weights2, intervals): sides of 1 to 8 vertices, side-1
-    vertex a adjacent to the side-2 indices lo..hi of intervals[a].  Both
-    ends are non-increasing in a, as in the orbit graph, unless the draw
-    leaves them unsorted; lo > hi leaves a vertex isolated."""
-    num1 = draw(st.integers(1, 8))
-    num2 = draw(st.integers(1, 8))
-    weight = st.integers(1, 60)
-    weights1 = draw(st.lists(weight, min_size=num1, max_size=num1))
-    weights2 = draw(st.lists(weight, min_size=num2, max_size=num2))
-    ends = st.lists(st.integers(0, num2 - 1), min_size=num1, max_size=num1)
-    los, his = draw(ends), draw(ends)
-    if draw(st.booleans()):
-        los, his = sorted(los, reverse=True), sorted(his, reverse=True)
-    return weights1, weights2, list(zip(los, his))
-
-
-def interval_reference(weights1, weights2, intervals):
-    g = WeightedBipartiteGraph(
-        tuple(((1, a), w) for a, w in enumerate(weights1)),
-        tuple(((2, b), w) for b, w in enumerate(weights2)),
-        tuple(((1, a), (2, b)) for a, (lo, hi) in enumerate(intervals)
-              for b in range(lo, hi + 1)))
-    return max_weight_independent_set(g)
-
-
-def reference_greedy(weights1, weights2, intervals):
-    """_earliest_deadline_flow as written before its sorted start list:
-    a by_lo index order and senders kept for every arc."""
-    num1, num2 = len(weights1), len(weights2)
-    supply = list(weights1)
-    by_lo = sorted(range(num1), key=lambda a: intervals[a][0])
-    active, nxt = [], 0  # heap of (right end, a) with lo <= current b
-    flow, senders = [], [[] for _ in range(num2)]
-    for b in range(num2):
-        while nxt < num1 and intervals[by_lo[nxt]][0] <= b:
-            a = by_lo[nxt]
-            nxt += 1
-            if supply[a]:
-                heappush(active, (intervals[a][1], a))
-        room = weights2[b]
-        while room and active:
-            hi, a = active[0]
-            if hi < b:
-                heappop(active)
-                continue
-            sent = min(room, supply[a])
-            flow.append((a, b, sent))
-            senders[b].append(a)
-            room -= sent
-            supply[a] -= sent
-            if not supply[a]:
-                heappop(active)
-
-    # Residual arcs: source -> a while a has supply left, a -> b on every
-    # edge, and b -> a back along each arc that carries flow.
-    reached1 = [x > 0 for x in supply]
-    reached2 = [False] * num2
-    queue = [a for a in range(num1) if reached1[a]]
-    for a in queue:  # the loop also visits vertices appended below
-        lo, hi = intervals[a]
-        for b in range(lo, hi + 1):
-            if not reached2[b]:
-                reached2[b] = True
-                for c in senders[b]:
-                    if not reached1[c]:
-                        reached1[c] = True
-                        queue.append(c)
-    return flow, reached1, reached2
-
-
-def reference_interval_independent_set(weights1, weights2, intervals):
-    """interval_independent_set as written before its checks moved to
-    builtins, on reference_greedy."""
-    num1, num2 = len(weights1), len(weights2)
-    if len(intervals) != num1:
-        raise ValueError("need one interval per side-1 vertex")
-    if any(w <= 0 for w in weights1) or any(w <= 0 for w in weights2):
-        raise ValueError("weights must be positive")
-    if any(lo <= hi and not 0 <= lo <= hi < num2 for lo, hi in intervals):
-        raise ValueError(f"an interval leaves the side-2 indices 0..{num2 - 1}")
-    flow, reached1, reached2 = reference_greedy(weights1, weights2, intervals)
-    out, into = [0] * num1, [0] * num2
-    for a, b, sent in flow:
-        lo, hi = intervals[a]
-        if not (sent > 0 and lo <= b <= hi):
-            raise FlowCertificateError(f"flow {sent} on ({a}, {b}), not a "
-                                       f"graph edge with positive flow")
-        out[a] += sent
-        into[b] += sent
-    if any(x > w for x, w in zip(out, weights1)) or \
-            any(x > w for x, w in zip(into, weights2)):
-        raise FlowCertificateError("flow exceeds a vertex weight")
-    for a, (lo, hi) in enumerate(intervals):
-        if reached1[a] and lo <= hi and not all(reached2[lo:hi + 1]):
-            raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
-                                       f"left uncovered")
-    value = sum(out)
-    cover = (sum(w for w, r in zip(weights1, reached1) if not r)
-             + sum(w for w, r in zip(weights2, reached2) if r))
-    if cover != value:
-        raise FlowCertificateError(f"cover weight {cover} differs from "
-                                   f"flow {value}")
-    chosen1 = [a for a, r in enumerate(reached1) if r]
-    chosen2 = [b for b, r in enumerate(reached2) if not r]
-    return sum(weights1) + sum(weights2) - value, chosen1, chosen2
-
-
-#: Greedy results for weights1 [2], weights2 [3, 1] and the single
-#: interval (0, 0), each failing exactly one part of the certificate.
-BAD_GREEDY = {
-    "flow above a weight": ([(0, 0, 3)], [True], [True, False]),
-    "flow off the graph": ([(0, 0, 1), (0, 1, 1)], [False], [False, False]),
-    "edge left uncovered": ([(0, 0, 1)], [True], [False, True]),
-    "cover weight differs from flow": ([(0, 0, 1)], [False], [False, False]),
-}
-
-
-class TestIntervalIndependentSet:
-    def test_orbit_graphs_match_dinic(self):
-        # the lemma1 certificate's route: the greedy on the graph's weights
-        # and its profile intervals shifted to side-2 indices
-        for params in small_graph_params():
-            graph, s = build_orbit_graph(params), params.s
-            value, chosen1, chosen2 = interval_independent_set(
-                graph.weights, graph.weights,
-                [(lo - s, hi - s) for lo, hi in graph.intervals])
-            chosen = frozenset([(1, a + s) for a in chosen1]
-                               + [(2, b + s) for b in chosen2])
-            assert (chosen, value) == \
-                max_weight_independent_set(graph.as_bipartite()), params
-
-    @given(interval_graphs())
-    @example(([5], [7], [(0, 0)]))
-    @example(([4], [9], [(0, -1)]))
-    @example(([3, 1, 4], [1, 5, 9, 2], [(0, 3)] * 3))
-    @example(([2, 7, 1], [8, 2, 8], [(2, 2), (1, 2), (0, 0)]))
-    def test_matches_dinic_reference(self, graph):
-        weights1, weights2, intervals = graph
-        value, chosen1, chosen2 = interval_independent_set(*graph)
-        chosen, weight = interval_reference(*graph)
-        assert value == weight
-        assert value == (sum(weights1[a] for a in chosen1)
-                         + sum(weights2[b] for b in chosen2))
-        assert chosen == frozenset([(1, a) for a in chosen1]
-                                   + [(2, b) for b in chosen2])
-
-    @given(interval_graphs())
-    def test_matches_previous_implementation(self, graph):
-        assert bipartite._earliest_deadline_flow(*graph) == \
-            reference_greedy(*graph)
-        assert interval_independent_set(*graph) == \
-            reference_interval_independent_set(*graph)
-
-    def test_orbit_graphs_match_previous_implementation(self):
-        for params in pinned_grid():
-            graph, s = build_orbit_graph(params), params.s
-            shifted = (graph.weights, graph.weights,
-                       [(lo - s, hi - s) for lo, hi in graph.intervals])
-            assert bipartite._earliest_deadline_flow(*shifted) == \
-                reference_greedy(*shifted), params
-            assert interval_independent_set(*shifted) == \
-                reference_interval_independent_set(*shifted), params
-
-    @pytest.mark.parametrize("bad", [
-        ([1], [1], []), ([0], [1], [(0, 0)]), ([1], [-2], [(0, 0)]),
-        ([1], [1], [(0, 1)]), ([1], [1], [(-1, 0)]), ([1], [], [(0, 0)])])
-    def test_bad_input_raises_as_before(self, bad):
-        raised = []
-        for solve in (interval_independent_set,
-                      reference_interval_independent_set):
-            with pytest.raises(ValueError) as err:
-                solve(*bad)
-            raised.append(str(err.value))
-        assert raised[0] == raised[1]
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            interval_independent_set([1], [1], [])
-        with pytest.raises(ValueError):
-            interval_independent_set([0], [1], [(0, 0)])
-        with pytest.raises(ValueError):
-            interval_independent_set([1], [1], [(0, 1)])
-
-    @pytest.mark.parametrize("fake", sorted(BAD_GREEDY))
-    def test_bad_greedy_raises(self, monkeypatch, fake):
-        monkeypatch.setattr(bipartite, "_earliest_deadline_flow",
-                            lambda w1, w2, intervals: BAD_GREEDY[fake])
-        with pytest.raises(FlowCertificateError):
-            interval_independent_set([2], [3, 1], [(0, 0)])
-
-    def test_bad_greedy_raises_under_python_optimize(self):
-        script = (
-            "from crossint import bipartite, FlowCertificateError\n"
-            "bipartite._earliest_deadline_flow = lambda w1, w2, intervals: "
-            f"{BAD_GREEDY['cover weight differs from flow']!r}\n"
-            "try:\n"
-            "    bipartite.interval_independent_set([2], [3, 1], [(0, 0)])\n"
-            "except FlowCertificateError:\n"
-            "    print('raised')\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(bipartite.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        assert done.stdout == "raised\n"
 
 
 class TestGraphValidation:

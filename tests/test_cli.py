@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from crossint import (CrossIntError, Params, Verdict, cli, emit_report,
-                      run_sweep, sweep)
+                      extremal, run_sweep, sweep)
 from crossint.cli import main
 from crossint.sweep import iter_records
 
@@ -61,6 +61,23 @@ class TestSweepCommands:
                 for rec in records] == [
             ("lemma2", "skip", "inapplicable: needs s >= 2 and slack l >= 0")]
         assert main(argv + ["--strict"]) == 2
+
+    def test_weight_recurrence_remainder_exits_two(self, capsys, monkeypatch):
+        # C(9, 5) read as 127 leaves a remainder in the (14, 5) weight row;
+        # ArithmeticError is not an OverflowError
+        binom = extremal.binom
+        monkeypatch.setattr(extremal, "binom",
+                            lambda n, k: 127 if (n, k) == (9, 5) else binom(n, k))
+        extremal._weight_row.cache_clear()
+        try:
+            code = main(["check-lemmas", "--n", "14", "--k", "5", "--s", "2",
+                         "--checks", "lemma2"])
+        finally:
+            extremal._weight_row.cache_clear()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: orbit weight recurrence left remainder 8 at profile 2 "
+            "for n=14, k=5\n")
 
     def test_check_edges_pass(self, capsys):
         assert main(["check-edges", "--k", "4", "--s-range", "2:3",

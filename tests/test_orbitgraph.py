@@ -15,8 +15,9 @@ from crossint import (CrossIntError, DecompositionViolation,
                       build_orbit_graph, check_biregularity, classify_edges,
                       decomposition_to_dot, graph_to_dot,
                       min_pair_intersection, orbit_weight, path_mwis,
-                      size_extremal_family, validate_decomposition)
-from crossint.orbitgraph import _path_failures
+                      max_weight_independent_set, size_extremal_family,
+                      validate_decomposition)
+from crossint.orbitgraph import _path_failures, _saturating_path_flow
 from crossint.report import Verdict
 
 from conftest import pinned_grid, small_graph_params
@@ -830,6 +831,44 @@ class TestPathMwis:
             for picks in range(1 << len(weights))
             if not any(picks >> i & 3 == 3 for i in range(len(weights) - 1)))
         assert path_mwis(weights) == best
+
+
+class TestSaturatingPathFlow:
+    """lemma1's certificate: offset paths that carry a flow along graph
+    edges saturating both sides, so the MWIS is one side's weight."""
+
+    def test_chain_paths_certify_the_mwis(self):
+        for params in small_graph_params():
+            dec = build_chain_decomposition(params)
+            graph = dec.graph
+            assert _saturating_path_flow(graph, dec.offset_paths()), params
+            assert sum(graph.weights) == max_weight_independent_set(
+                graph.as_bipartite())[1], params
+
+    #: (9, 4, 2): weights (60, 20), side 1 at positions 0 and 1, side 2
+    #: at 2 and 3, edges 0-2, 0-3 and 1-2; its one chain path is PATH,
+    #: with amounts 20, 40, 20 and then 20 at its last vertex.
+    GRAPH = build_orbit_graph(Params(9, 4, 2))
+    PATH = (1, 2, 0, 3)
+
+    def test_holds_both_ways_along_the_path(self):
+        for path in (self.PATH, self.PATH[::-1]):
+            assert _saturating_path_flow(self.GRAPH, (path,))
+
+    # each input fails exactly one condition
+    @pytest.mark.parametrize("weights,paths", [
+        pytest.param((60, 20), (PATH, ()), id="extra empty path"),
+        pytest.param((60, 20), (PATH, PATH), id="repeated vertex"),
+        pytest.param((60, 20), ((0, 2),), id="vertices left out"),
+        pytest.param((60, 20), ((1, 0, 2, 3),), id="same-side step on side 1"),
+        pytest.param((20, 20), ((1, 2, 3, 0),), id="same-side step on side 2"),
+        pytest.param((60, 20), ((1, 3, 0, 2),), id="step off the graph"),
+        pytest.param((20, 60), ((3, 0, 2, 1),), id="negative amount"),
+        pytest.param((60, 20), ((1, 2, 0), (3,)), id="last amount differs"),
+    ])
+    def test_fails_without_raising(self, weights, paths):
+        graph = replace(self.GRAPH, weights=weights)
+        assert _saturating_path_flow(graph, paths) is False
 
 
 class TestBiregularity:

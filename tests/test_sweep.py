@@ -3,11 +3,13 @@ import csv
 import io
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
 from crossint import (ConfigError, Params, ReportBundle, SweepSpec, binom,
-                      emit_report, extremal, orbitgraph, run_sweep, sweep)
+                      emit_report, extremal, max_weight_independent_set,
+                      orbitgraph, run_sweep, size_extremal_family, sweep)
 from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
 from crossint.orbitgraph import build_chain_decomposition, validate_decomposition
@@ -381,7 +383,7 @@ class TestBuildOnce:
         monkeypatch.setattr(orbitgraph, "classify_edges", counted_classify)
         return calls
 
-    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 0)])
+    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 1)])
     def test_one_build_per_triple(self, monkeypatch, check, classified):
         calls = self.count_calls(monkeypatch)
         spec = SweepSpec(ks=tuple(range(3, 9)), ss=(2, 3, 4), ls=(0, 1, 2, 3),
@@ -524,6 +526,20 @@ class TestChainClasses:
             wrong: (),
             intervals: build_chain_decomposition(params).offset_paths()}
 
+    def test_lemma1_and_chains_validate_each_class_once(self, monkeypatch):
+        spec = replace(self.SPEC, checks=("lemma1", "chains"), cap=1)
+        validated = count_validations(monkeypatch)
+        records = strip_timings(run_sweep(spec).records)
+        # the grid's triples with slack l < 0 skip both checks
+        triples = [p for p in (Params(*t) for t in spec.instances()) if p.l >= 0]
+        classes = sorted({chain_class(p) for p in triples})
+        assert sorted(map(chain_class, validated)) == classes
+        assert len(classes) < len(triples)
+        orbit = [rec for rec in records if rec["l"] >= 0]
+        assert {rec["status"] for rec in orbit} == {"pass"}
+        assert [rec for rec in orbit if rec["check"] == "chains"] == \
+            [full_chains_record(p) for p in triples]
+
     def test_memo_lives_for_one_sweep(self, monkeypatch):
         # a second sweep validates its classes afresh, so a broken build
         # installed between two sweeps is seen
@@ -532,6 +548,83 @@ class TestChainClasses:
         break_chain_decompositions(monkeypatch)
         bundle = run_sweep(self.SPEC)
         assert bundle.summary["pass"] == 0 and bundle.summary["fail"] > 5
+
+
+def lemma1_reference(params):
+    """The lemma1 record with Dinic's MWIS of the orbit graph, untimed."""
+    graph = orbitgraph.build_orbit_graph(params)
+    weight = max_weight_independent_set(graph.as_bipartite())[1]
+    want = size_extremal_family(params) - 1
+    return Verdict("lemma1.orbit-certificate", params, want, weight,
+                   weight == want, detail="orbit-graph MWIS vs extremal "
+                   "family size minus one").to_record("lemma1")
+
+
+def swap_weights(monkeypatch):
+    """Swap w(k-2) and w(k-3) in every (n, k) weight row with k >= 4
+    that the orbit graph and its vertex rows read."""
+    row = orbitgraph._weight_row
+
+    def swapped(n, k):
+        out = row(n, k)
+        if k < 4:
+            return out
+        return out[:k - 3] + (out[k - 2], out[k - 3]) + out[k - 1:]
+
+    monkeypatch.setattr(orbitgraph, "_weight_row", swapped)
+    orbitgraph._vertex_rows.cache_clear()
+
+
+class TestLemma1Route:
+    """lemma1 reads the MWIS off the class's chain paths when they carry
+    a saturating flow and asks Dinic otherwise; either way its record is
+    the one Dinic's MWIS gives."""
+
+    #: cap 1: no triple gets a lemma1.enumerated-mis record
+    SPEC = SweepSpec(ks=(4,), ss=(2,), ls=(0,), checks=("lemma1",), cap=1)
+    #: k 4:12, s 2:k-3, l 0:8, so that the swap moves two profiles >= s
+    TRIPLES = [Params(2 * k - s + 1 + l, k, s) for k in range(4, 13)
+               for s in range(2, k - 2) for l in range(9)]
+
+    @pytest.fixture(autouse=True)
+    def fresh_vertex_rows(self):
+        orbitgraph._vertex_rows.cache_clear()
+        yield
+        orbitgraph._vertex_rows.cache_clear()
+
+    def flows_and_verdicts(self, monkeypatch):
+        """Each triple's path-flow result and lemma1 status, after
+        asserting its records equal the reference."""
+        monkeypatch.setattr(sweep, "_CHAIN_PATHS", {})
+        flows, certify = {}, sweep._saturating_path_flow
+
+        def recorded(graph, paths):
+            flows[graph.params] = certify(graph, paths)
+            return flows[graph.params]
+
+        monkeypatch.setattr(sweep, "_saturating_path_flow", recorded)
+        statuses = {}
+        for params in self.TRIPLES:
+            records = check_records("lemma1", params, self.SPEC)
+            assert records == [lemma1_reference(params)], params
+            statuses[params] = records[0]["status"]
+        return flows, statuses
+
+    def test_clean_weights_never_fall_back(self, monkeypatch):
+        flows, statuses = self.flows_and_verdicts(monkeypatch)
+        assert len(flows) == len(self.TRIPLES) == 324
+        assert all(flows.values())
+        assert set(statuses.values()) == {"pass"}
+
+    def test_swapped_weights_fall_back_to_dinic(self, monkeypatch):
+        swap_weights(monkeypatch)
+        flows, statuses = self.flows_and_verdicts(monkeypatch)
+        no_flow = [p for p in self.TRIPLES if not flows[p]]
+        failed = [p for p in self.TRIPLES if statuses[p] == "fail"]
+        assert set(failed) <= set(no_flow)
+        assert len(no_flow) - len(failed) == 89 and len(failed) == 9
+        assert Params(13, 6, 2) in no_flow and statuses[Params(13, 6, 2)] == "pass"
+        assert Params(11, 6, 2) in failed
 
 
 def edges_triples(n_max):
