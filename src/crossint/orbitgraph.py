@@ -20,9 +20,9 @@ taken in both orientations while both profiles stay in {s..k-1}:
 a = floor((k-l)/2) has no equal-profile edge (2a < k-l) and would
 otherwise keep only its mirror edge.  Each vertex then has one mirror
 edge and at most one other typed edge, so the typed subgraph is a union
-of even paths that alternate the two kinds, walked through per-profile
-index arrays from their side-1 ends; whether every path carries an
-equal-weight middle edge is exactly what validate_decomposition checks.
+of even paths that alternate the two kinds, walked from their side-1
+ends; whether every path carries an equal-weight middle edge is exactly
+what validate_decomposition checks.
 
 In offsets j = i-s, with m = k-s and d = k-2s-l, all of this depends on
 (m, max(0, d)) alone, the class of the triple.  Profiles are 0..m-1;
@@ -35,13 +35,15 @@ to d = 0.  So the typed edges, the paths and every structural check of
 validate_decomposition are the same, in offsets, across a class, and
 only the weights w(s+j) differ from triple to triple.  The offset
 intervals name the class: m is their count and max(0, d) the lower
-end of the first.
+end of the first.  _class_chains, keyed by them, builds each class's
+paths once, as positions in side1 + side2; classify_edges and
+build_chain_decomposition put a triple's own vertices on them.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 from .bipartite import WeightedBipartiteGraph
@@ -145,44 +147,101 @@ class TypedEdge(NamedTuple):
     edge_type: int      # 1, 2, or 3
 
 
-def classify_edges(graph: OrbitGraph):
-    """The three edge families, as TypedEdges in ascending order of
-    their (side-1 profile, side-2 profile) pairs.
+def _typed_offsets(intervals: tuple) -> list:
+    """The three edge families of the class with these offset intervals,
+    as ascending (a, b, type): side-1 offset a, side-2 offset b.
 
     Raises TypedEdgeNotInW if a typed edge is not a graph edge, and
     DecompositionViolation if two families share an edge; either would
     contradict the construction and is treated as a finding.
     """
-    params = graph.params
-    k, s, l = params.k, params.s, params.l
-    profiles, mirror = range(s, k), k + s - 1
-    band = range(max(s, -(-(k - l) // 2)), (mirror + 1) // 2)  # 2i < k+s-1
-    if (k - l) % 2:
-        # profile floor((k-l)/2) has no equal-profile edge; anchor there
-        low, high = (k - l) // 2, -(-mirror // 2)
+    m, d = len(intervals), intervals[0][0]  # d = max(0, k-2s-l)
+    band = range(-(-d // 2), m // 2)  # ceil(d/2) <= j and 2j < m-1
+    if d % 2:
+        # offset floor(d/2) has no equal-profile edge; anchor there
+        low, high = d // 2, m // 2
     else:
-        low, high = (k - l) // 2 - 1, mirror // 2 + 1
-    # offsets d = 0..reach keep low-d and high+d in {s..k-1}; each pair is
-    # typed in both orientations, so the low and high ends mirror each other
-    reach = min(low - s, k - 1 - high)
+        low, high = d // 2 - 1, (m + 1) // 2
+    # x = 0..reach keep low-x and high+x in {0..m-1}; each pair is typed
+    # in both orientations, so the low and high ends mirror each other
+    reach = min(low, m - 1 - high)
     lows, highs = range(low - reach, low + 1), range(high, high + reach + 1)
-    lefts = [*profiles, *band, *lows, *highs]
-    rights = [*profiles[::-1], *band, *highs[::-1], *lows[::-1]]
+    lefts = [*range(m), *band, *lows, *highs]
+    rights = [*range(m - 1, -1, -1), *band, *highs[::-1], *lows[::-1]]
     if len(set(zip(lefts, rights))) != len(lefts):
-        raise DecompositionViolation(
-            f"typed edge families overlap for params {params}")
+        raise DecompositionViolation(f"typed edge families overlap in class "
+                                     f"(m, d) = ({m}, {d})")
+    types = [1] * m + [2] * len(band) + [3] * (2 * len(lows))
+    typed = sorted(zip(lefts, rights, types))
+    for a, b, ty in typed:
+        if not intervals[a][0] <= b <= intervals[a][1]:
+            raise TypedEdgeNotInW(f"typed edge (s+{a}, s+{b}) of type {ty} is "
+                                  f"not a graph edge in class (m, d) = "
+                                  f"({m}, {d})")
+    return typed
 
-    types = [1] * len(profiles) + [2] * len(band) + [3] * (2 * len(lows))
-    side1, side2, intervals = graph.side1, graph.side2, graph.intervals
-    out = []
-    for i, t, ty in sorted(zip(lefts, rights, types)):
-        lo, hi = intervals[i - s]
-        if not lo <= t <= hi:
-            raise TypedEdgeNotInW(
-                f"typed edge ({i}, {t}) of type {ty} is not a graph edge "
-                f"for params {params}")
-        out.append(TypedEdge(side1[i - s], side2[t - s], ty))
-    return out
+
+def classify_edges(graph: OrbitGraph):
+    """The three edge families, as TypedEdges in ascending order of
+    their (side-1 profile, side-2 profile) pairs: the ``_typed_offsets``
+    of the graph's class on its vertices, raising as that does."""
+    side1, side2 = graph.side1, graph.side2
+    return [TypedEdge(side1[a], side2[b], ty)
+            for a, b, ty in _typed_offsets(graph.offset_intervals)]
+
+
+def _walk_chains(m: int, typed) -> tuple:
+    """(paths, edge types) of the typed edges (a, b, type), m vertices a
+    side, each vertex as its position in ``side1 + side2``.
+
+    A vertex has one mirror edge (type 1) and at most one type-2/3 edge,
+    so each path starts at a side-1 vertex with no type-2/3 edge and
+    alternates the two kinds until a vertex has none.  Paths are ordered
+    by their least position.  Raises DecompositionViolation, with the
+    positions as ``offending``, if a vertex has two typed edges of one
+    kind or no mirror edge, or lies on no path (the typed edges close a
+    cycle); none has been observed.
+    """
+    name = lambda x: f"C_{{s+{x % m}}}^{x // m + 1}"
+    mirror, other = [None] * (2 * m), [None] * (2 * m)  # (partner, type)
+    for a, b, ty in typed:
+        at = mirror if ty == 1 else other
+        for x, y in ((a, m + b), (m + b, a)):
+            if at[x] is not None:
+                raise DecompositionViolation(f"vertex {name(x)} has two typed "
+                                             f"edges of one kind", offending=x)
+            at[x] = y, ty
+    if None in mirror:
+        x = mirror.index(None)
+        raise DecompositionViolation(f"vertex {name(x)} has no mirror edge",
+                                     offending=x)
+
+    chains = []
+    for start in range(m):
+        if other[start] is not None:
+            continue
+        path, types, step = [start], [], mirror[start]
+        while step is not None:
+            x, ty = step
+            path.append(x)
+            types.append(ty)
+            step = (other if ty == 1 else mirror)[x]
+        chains.append((min(path[0::2]), tuple(path), tuple(types)))
+    chains.sort()
+    left_out = sorted(set(range(2 * m)).difference(*(p for _, p, _ in chains)))
+    if left_out:
+        raise DecompositionViolation(f"vertices {list(map(name, left_out))} "
+                                     f"lie on no path", offending=left_out)
+    _, paths, edge_types = zip(*chains)
+    return paths, edge_types
+
+
+# sized from the class counts: 379 on the orbit-sweep workload's grid,
+# 704 on criterion 5's range (k 3:40, s 2:39, l 0:40)
+@lru_cache(maxsize=1024)
+def _class_chains(intervals: tuple) -> tuple:
+    """``_walk_chains`` of the class with these ``offset_intervals``."""
+    return _walk_chains(len(intervals), _typed_offsets(intervals))
 
 
 @dataclass(frozen=True)
@@ -211,69 +270,20 @@ class ChainDecomposition:
 
 
 def build_chain_decomposition(params: Params) -> ChainDecomposition:
-    """The typed subgraph as paths, read straight off its typed edges.
-
-    Every vertex has exactly one mirror edge (type 1) and at most one
-    equal-profile or offset edge (type 2 or 3).  So each path starts at
-    a side-1 profile with no type-2/3 edge, takes its mirror edge, then
-    alternates the side-2 vertex's type-2/3 edge with a mirror edge, and
-    stops at the first vertex with no type-2/3 edge.  Paths are ordered
-    by their least (side, profile).  Raises DecompositionViolation if a
-    vertex has two typed edges of one kind or no mirror edge, or lies on
-    no path (the typed edges close a cycle); none has been observed.
-    """
+    """The typed subgraph as paths: its class's ``_class_chains`` on the
+    triple's vertices, raising as that does."""
     return _decompose(build_orbit_graph(params))
 
 
 def _decompose(graph: OrbitGraph) -> ChainDecomposition:
     """build_chain_decomposition on an orbit graph already built."""
-    params, typed = graph.params, tuple(classify_edges(graph))
-    s, side1, side2, m = params.s, graph.side1, graph.side2, len(graph.weights)
-
-    # each vertex's mirror and type-2/3 edge, by side and profile - s
-    mirror1, mirror2, other1, other2 = ([None] * m for _ in range(4))
-    for e in typed:
-        a, b = e.left.i - s, e.right.i - s
-        at1, at2 = (mirror1, mirror2) if e.edge_type == 1 else (other1, other2)
-        if at1[a] is not None or at2[b] is not None:
-            v = e.left if at1[a] is not None else e.right
-            raise DecompositionViolation(
-                f"vertex {v.name()} has two typed edges of one kind",
-                offending=v)
-        at1[a] = at2[b] = e
-    for side, at in ((side1, mirror1), (side2, mirror2)):
-        if None in at:
-            v = side[at.index(None)]
-            raise DecompositionViolation(
-                f"vertex {v.name()} has no mirror edge", offending=v)
-
-    chains, covered = [], 0
-    for e, other in zip(mirror1, other1):  # paths start where other1 is None
-        if other is not None:
-            continue
-        path, types = [], []
-        while True:
-            path += e[:2]
-            types.append(1)
-            e = other2[e.right.i - s]
-            if e is None:
-                break
-            types.append(e.edge_type)
-            e = mirror1[e.left.i - s]
-        half = len(path) // 2
-        covered += len(path)
-        chains.append((min(path[0::2]), tuple(path), tuple(types),
-                       (path[half - 1], path[half], types[half - 1])))
-    if covered != 2 * m:
-        on_path = {u for _, path, _, _ in chains for u in path}
-        left_out = [u for u in side1 + side2 if u not in on_path]
-        raise DecompositionViolation(
-            f"vertices {[u.name() for u in left_out]} lie on no path",
-            offending=left_out)
-
-    chains.sort(key=itemgetter(0))
-    _, paths, edge_types, middles = zip(*chains)
-    return ChainDecomposition(params, paths, edge_types, middles, graph, typed)
+    offset_paths, edge_types = _class_chains(graph.offset_intervals)
+    own = graph.side1 + graph.side2
+    paths = tuple(tuple(map(own.__getitem__, path)) for path in offset_paths)
+    middles = tuple((p[len(p) // 2 - 1], p[len(p) // 2], t[len(p) // 2 - 1])
+                    for p, t in zip(paths, edge_types))
+    return ChainDecomposition(graph.params, paths, edge_types, middles, graph,
+                              tuple(classify_edges(graph)))
 
 
 def path_mwis(weights) -> int:
@@ -452,17 +462,14 @@ def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
     """The chains verdict of ``graph`` from its weight checks alone.
 
     ``paths`` are the ``offset_paths`` of a decomposition that passed
-    validate_decomposition on a graph with the same offset intervals,
-    so of the same class: every structural check holds here too (each
-    middle edge, for one, sits at its path's midpoint), and the
-    validator's failures would be exactly each path's
-    ``_weight_failures`` and then the sum check.  Weights are read by
-    offset and the middle's ends from the (n, k) vertex rows, so no
-    vertex or edge is built.
+    validate_decomposition on a graph of the same class, so every
+    structural check holds here too (each middle edge, for one, sits at
+    its path's midpoint), and the validator's failures would be exactly
+    each path's ``_weight_failures`` and then the sum check.  Weights
+    and middle ends are read by position, so no vertex or edge is built.
     """
     params, weights = graph.params, graph.weights
-    rows, s = _vertex_rows(params.n, params.k), params.s
-    both, own = weights + weights, rows[0][s:] + rows[1][s:]
+    both, own = weights + weights, graph.side1 + graph.side2
     failures, mwis_total = [], 0
     for path in paths:
         path_weights = [both[x] for x in path]

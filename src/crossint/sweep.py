@@ -23,8 +23,9 @@ from .extremal import (check_mirror_weight_ordering, check_offset_weight_orderin
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_decompose, _orbit_masks, _saturating_path_flow,
-                         _transposed, _verdict_by_offsets, build_orbit_graph,
+from .orbitgraph import (_class_chains, _decompose, _orbit_masks,
+                         _saturating_path_flow, _transposed,
+                         _verdict_by_offsets, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict
 from .sets import Params, binom
@@ -63,28 +64,30 @@ class SweepSpec:
                               f"available: {CHECK_NAMES}")
         if not self.checks:
             raise ConfigError("no checks selected")
+        repeated = sorted({c for c in self.checks if self.checks.count(c) > 1})
+        if repeated:
+            raise ConfigError(f"checks named more than once: {repeated}")
         if self.cap <= 0:
             raise ConfigError("cap must be positive")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if next(self._triples(), None) is None:
+            raise ConfigError("no valid (n, k, s) triple in the grid: each "
+                              "needs 1 <= s < k <= n")
 
-    def instances(self):
-        """All valid (n, k, s) triples of the grid, ascending."""
-        triples = set()
+    def _triples(self):
+        """The grid's valid (n, k, s) triples, unordered, with repeats."""
         for k in self.ks:
             for s in self.ss:
                 if not 1 <= s < k:
                     continue
-                if self.ls is not None:
-                    for l in self.ls:
-                        n = 2 * k - s + 1 + l
-                        if n >= k:
-                            triples.add((n, k, s))
-                else:
-                    for n in self.ns:
-                        if n >= k:
-                            triples.add((n, k, s))
-        return sorted(triples)
+                ns = self.ns if self.ls is None else [
+                    2 * k - s + 1 + l for l in self.ls]
+                yield from ((n, k, s) for n in ns if n >= k)
+
+    def instances(self):
+        """All valid (n, k, s) triples of the grid, ascending."""
+        return sorted(set(self._triples()))
 
     def to_dict(self) -> dict:
         return {
@@ -125,13 +128,13 @@ def _check_theorem(params: Params, spec: SweepSpec):
 
 def _check_lemma1(params: Params, spec: SweepSpec):
     """The orbit-graph MWIS against |C| - 1: one side's weight when the
-    class's chain paths carry a flow that saturates both sides, which
-    certifies it, and Dinic's value otherwise."""
+    class's ``_class_chains`` paths carry a flow that saturates both
+    sides, checked against the graph itself, and Dinic's value otherwise."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    if _saturating_path_flow(graph, _class_paths(graph)[0]):
+    if _saturating_path_flow(graph, _class_chains(graph.offset_intervals)[0]):
         weight = sum(graph.weights)
     else:
         weight = max_weight_independent_set(graph.as_bipartite())[1]
@@ -170,28 +173,9 @@ def _check_lemma2(params: Params, spec: SweepSpec):
 #: The offset intervals of each chain class met in the current sweep
 #: (``OrbitGraph.offset_intervals``, which name the class) -> the
 #: ``offset_paths`` of its first decomposition that passed the
-#: validator, read by lemma1 and chains through ``_class_paths``.
-#: Cleared when a sweep starts and ends; each worker process of a sweep
-#: fills its own.
+#: validator, read by chains.  Cleared when a sweep starts and ends; each
+#: worker process of a sweep fills its own.
 _CHAIN_PATHS = {}
-
-
-def _class_paths(graph):
-    """The offset paths of ``graph``'s class and, on a memo miss, the
-    verdict of validating ``graph``'s own decomposition in full.
-
-    On a hit the verdict is None.  On a miss the paths are those of the
-    decomposition, stored only when its verdict passes."""
-    key = graph.offset_intervals
-    paths = _CHAIN_PATHS.get(key)
-    if paths is not None:
-        return paths, None
-    dec = _decompose(graph)
-    verdict = validate_decomposition(dec, graph)
-    paths = dec.offset_paths()
-    if verdict.passed:
-        _CHAIN_PATHS[key] = paths
-    return paths, verdict
 
 
 def _check_chains(params: Params, spec: SweepSpec):
@@ -202,14 +186,20 @@ def _check_chains(params: Params, spec: SweepSpec):
     alone (see the ``orbitgraph`` docstring).  So once a decomposition
     of a class has passed validate_decomposition, a later triple of the
     class runs only the weight checks, on its own weights, and gets the
-    validator's verdict, failing or not.  Until then each triple of the
-    class is validated in full."""
+    validator's verdict, failing or not."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    paths, verdict = _class_paths(graph)
-    yield _verdict_by_offsets(graph, paths) if verdict is None else verdict
+    key = graph.offset_intervals
+    if key in _CHAIN_PATHS:
+        yield _verdict_by_offsets(graph, _CHAIN_PATHS[key])
+        return
+    dec = _decompose(graph)
+    verdict = validate_decomposition(dec, graph)
+    if verdict.passed:
+        _CHAIN_PATHS[key] = dec.offset_paths()
+    yield verdict
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:

@@ -4,8 +4,8 @@ import tracemalloc
 
 import pytest
 
-from crossint import (CrossIntError, Params, Verdict, cli, emit_report,
-                      extremal, run_sweep, sweep)
+from crossint import (ConfigError, CrossIntError, Params, Verdict, cli,
+                      emit_report, extremal, run_sweep, sweep)
 from crossint.cli import main
 from crossint.sweep import iter_records
 
@@ -92,6 +92,24 @@ class TestSweepCommands:
                      "--checks", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check-chains", "--k", "3", "--s", "5", "--l", "0", "--strict"],
+        ["verify", "--k", "4", "--s", "2", "--n-range", "1:3", "--strict"],
+    ], ids=["s > k", "n < k"])
+    def test_empty_grid_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "no valid (n, k, s) triple" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_check_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(["check-lemmas", "--k", "4", "--s", "2", "--l-range",
+                     "0:2", "--checks", "lemma1,lemma1", "--out", str(out)])
+        assert code == 2
+        assert "['lemma1']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_strict_flags_skips(self, capsys):
         code = main(["verify", "--k", "5", "--s", "2", "--l", "4",
                      "--cap", "100", "--strict"])
@@ -129,7 +147,9 @@ def strip_millis(records):
 
 class TestStreamedReport:
     """The CLI streams records through a spool; its report must equal the
-    one rendered from a whole bundle, apart from timing fields."""
+    one rendered from a whole bundle, apart from timing fields.  The
+    "empty" grid has no valid triple, so it is a configuration error that
+    writes no report at all."""
 
     GRIDS = {
         # deliberately unsorted checks, skips (hm at s >= 2) and --strict
@@ -159,6 +179,12 @@ class TestStreamedReport:
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_equals_bundle_report(self, grid, fmt, spool, tmp_path, capsys):
         argv = self.GRIDS[grid] + ["--format", fmt]
+        out = tmp_path / f"report.{fmt}"
+        if grid == "empty":
+            assert main(argv) == main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().out == ""
+            assert list(tmp_path.iterdir()) == []
+            return
         bundle = run_sweep(self.spec(argv))
         want = untimed(emit_report(bundle, fmt), fmt)
         summary = bundle.summary
@@ -168,19 +194,18 @@ class TestStreamedReport:
         assert main(argv) == want_code
         assert untimed(capsys.readouterr().out, fmt) == want
 
-        out = tmp_path / f"report.{fmt}"
         assert main(argv + ["--out", str(out)]) == want_code
         assert untimed(out.read_text(encoding="utf-8"), fmt) == want
         assert capsys.readouterr().out == (
             f"{summary['pass']} pass, {summary['fail']} fail, "
             f"{summary['skip']} skipped -> {out}\n")
-        if grid == "empty":
-            assert want.endswith({
-                "json": '"records": [\n], "runtime_millis": T}\n',
-                "csv": "oracle_value,verdict\n"}[fmt])
 
     @pytest.mark.parametrize("grid", sorted(GRIDS))
     def test_records_in_global_order(self, grid):
+        if grid == "empty":
+            with pytest.raises(ConfigError, match="no valid"):
+                self.spec(self.GRIDS[grid])
+            return
         spec = self.spec(self.GRIDS[grid])
         # the order of one sort over every record of the sweep
         reference = sorted(

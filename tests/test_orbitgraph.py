@@ -17,7 +17,8 @@ from crossint import (CrossIntError, DecompositionViolation,
                       min_pair_intersection, orbit_weight, path_mwis,
                       max_weight_independent_set, size_extremal_family,
                       validate_decomposition)
-from crossint.orbitgraph import _path_failures, _saturating_path_flow
+from crossint.orbitgraph import (_path_failures, _saturating_path_flow,
+                                 _typed_offsets, _walk_chains)
 from crossint.report import Verdict
 
 from conftest import pinned_grid, small_graph_params
@@ -562,40 +563,49 @@ class TestChainDecomposition:
                     checked += 1
         assert checked == 5301
 
-    def test_second_offset_edge_raises(self, monkeypatch):
+    def test_every_class_to_m_60_equals_reference_walk(self):
+        # class (m, d) on its canonical triple s = 2, k = m + 2,
+        # l = m - 2 - d; m = 1 has the one class d = 0, at l = 0
+        checked = 0
+        for m in range(1, 61):
+            for d in range(max(1, m - 1)):
+                l = max(0, m - 2 - d)
+                params = Params(2 * m + 3 + l, m + 2, 2)
+                dec = build_chain_decomposition(params)
+                intervals = dec.graph.offset_intervals
+                assert (len(intervals), intervals[0][0]) == (m, d)
+                got = (dec.paths, dec.edge_types, dec.middles, dec.typed)
+                assert got == reference_chains(params), (m, d)
+                checked += 1
+        assert checked == 1771
+
+    # the raise tests feed the class walk its typed offset edges, with
+    # one edge injected or left out
+    def test_second_offset_edge_raises(self):
         # C_2^1 of (11, 6, 2) already has the offset edge C_2^1--C_4^2
-        real = orbitgraph.classify_edges
+        intervals = build_orbit_graph(Params(11, 6, 2)).offset_intervals
+        typed = _typed_offsets(intervals) + [(0, 1, 3)]
+        with pytest.raises(DecompositionViolation,
+                           match="two typed edges") as err:
+            _walk_chains(len(intervals), typed)
+        assert err.value.offending == 0
 
-        def doubled(graph):
-            return real(graph) + [TypedEdge(graph.side1[0], graph.side2[1], 3)]
-
-        monkeypatch.setattr(orbitgraph, "classify_edges", doubled)
-        with pytest.raises(DecompositionViolation, match="two typed edges"):
-            build_chain_decomposition(Params(11, 6, 2))
-
-    def test_typed_cycle_raises(self, monkeypatch):
+    def test_typed_cycle_raises(self):
         # C_3^1--C_3^2 closes the (9, 4, 2) path into a four-cycle
-        real = orbitgraph.classify_edges
-
-        def closed(graph):
-            return real(graph) + [TypedEdge(graph.side1[1], graph.side2[1], 3)]
-
-        monkeypatch.setattr(orbitgraph, "classify_edges", closed)
+        intervals = build_orbit_graph(Params(9, 4, 2)).offset_intervals
+        typed = _typed_offsets(intervals) + [(1, 1, 3)]
         with pytest.raises(DecompositionViolation, match="on no path") as err:
-            build_chain_decomposition(Params(9, 4, 2))
+            _walk_chains(len(intervals), typed)
         assert len(err.value.offending) == 4
 
-    def test_missing_mirror_edge_raises(self, monkeypatch):
-        real = orbitgraph.classify_edges
-
-        def unmirrored(graph):
-            return [e for e in real(graph)
-                    if (e.left.i, e.edge_type) != (2, 1)]
-
-        monkeypatch.setattr(orbitgraph, "classify_edges", unmirrored)
+    def test_missing_mirror_edge_raises(self):
+        # C_2^1 of (9, 4, 2) is offset 0 on side 1
+        intervals = build_orbit_graph(Params(9, 4, 2)).offset_intervals
+        typed = [e for e in _typed_offsets(intervals) if e[::2] != (0, 1)]
         with pytest.raises(DecompositionViolation,
-                           match="C_2\\^1 has no mirror edge"):
-            build_chain_decomposition(Params(9, 4, 2))
+                           match=r"C_\{s\+0\}\^1 has no mirror edge") as err:
+            _walk_chains(len(intervals), typed)
+        assert err.value.offending == 0
 
     def test_validation_characterization(self):
         # the typed-edge construction balances every path, including the

@@ -63,6 +63,23 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             SweepSpec(ks=(3,), ss=(2,), ls=(0,), checks=("nonsense",))
 
+    @pytest.mark.parametrize("grid", [
+        dict(ks=(3,), ss=(5,), ls=(0,)),
+        dict(ks=(3,), ss=(3, 4), ls=(0, 1)),
+        dict(ks=(4,), ss=(2,), ns=(1, 2, 3)),
+        dict(ks=(5,), ss=(1,), ls=(-6,)),
+    ], ids=["s > k", "s >= k", "n < k", "l too small"])
+    def test_grid_without_a_valid_triple_rejected(self, grid):
+        with pytest.raises(ConfigError, match="no valid"):
+            SweepSpec(**grid)
+
+    def test_repeated_check_rejected(self):
+        with pytest.raises(ConfigError, match="more than once"):
+            SweepSpec(ks=(4,), ss=(2,), ls=(0,), checks=("lemma1", "lemma1"))
+        with pytest.raises(ConfigError, match="more than once"):
+            SweepSpec(ks=(4,), ss=(2,), ls=(0,),
+                      checks=("chains", "lemma1", "chains"))
+
     def test_bad_caps_and_jobs(self):
         with pytest.raises(ConfigError):
             SweepSpec(ks=(3,), ss=(2,), ls=(0,), cap=0)
@@ -360,9 +377,10 @@ class TestEmitReport:
 
 
 class TestBuildOnce:
-    """One orbit-graph build per triple and check, and one classification
-    per chain class (k - s, max(0, k - 2s - l)), at the first triple of
-    the class: the sweep never rebuilds an instance or reclassifies a
+    """One orbit-graph build per triple and check; chains classifies
+    each chain class (k - s, max(0, k - 2s - l)) once, at its first
+    triple, and lemma1 reads the class's cached paths without
+    classifying: the sweep never rebuilds an instance or reclassifies a
     class."""
 
     def count_calls(self, monkeypatch):
@@ -383,7 +401,7 @@ class TestBuildOnce:
         monkeypatch.setattr(orbitgraph, "classify_edges", counted_classify)
         return calls
 
-    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 1)])
+    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 0)])
     def test_one_build_per_triple(self, monkeypatch, check, classified):
         calls = self.count_calls(monkeypatch)
         spec = SweepSpec(ks=tuple(range(3, 9)), ss=(2, 3, 4), ls=(0, 1, 2, 3),
