@@ -1,23 +1,19 @@
-"""Exact max-flow and the bipartite MWIS / vertex-cover duality.
+"""The bipartite MWIS / vertex-cover duality, and Dinic's max flow.
 
 All capacities and weights are exact Python integers; nothing here ever
-touches floating point.  The minimum-weight vertex cover of a weighted
-bipartite graph is computed by a source/sink flow construction (Dinic)
-whose minimum cut corresponds one-to-one with an integral cover, and the
-maximum-weight independent set is its complement.  Dinic is the generic
-solver (``max_weight_independent_set``) and the reference the matching
-is tested against.  Unit-weight graphs given as bitset rows, one int
-per side-1 vertex (the oracle's dense conflict graphs), skip the flow
-network: they are solved by a maximum matching, seeded greedily from
-the far end of each row and completed by breadth-first augmenting
-searches, and the König cover read off it, which is the cover the flow
-would give.
+touches floating point.  A minimum-weight vertex cover of a bipartite
+graph is a minimum cut of its cover network (the source sends each
+side-1 vertex its weight, each side-2 vertex sends the sink its weight,
+edges carry any amount), and a maximum-weight independent set is the
+cover's complement.  One breadth-first augmenting search on bitset rows
+(``_cover_flow``, certified by ``_cover``) solves that network for the
+weighted orbit graphs and for the oracle's unit-weight conflict graphs,
+whose cover is König's.  Dinic's algorithm serves ``max_flow`` only.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import gt, not_
 
 from .errors import FlowCertificateError
 
@@ -165,30 +161,17 @@ class WeightedBipartiteGraph:
 
 
 def min_weight_vertex_cover(g: WeightedBipartiteGraph):
-    """A minimum-weight vertex cover and its exact weight.
-
-    Flow runs from the source (node 0) through side 1, then side 2, to
-    the sink (the last node).  The cover is the side-1 vertices not
-    reachable in the final residual network plus the side-2 vertices
-    that are: the minimum cut closest to the source, which is unique, so
-    the result is deterministic.
-    """
-    sink = len(g.side1) + len(g.side2) + 1
-    node = {v: 1 + j for j, (v, _) in enumerate(g.side1 + g.side2)}
-    # Middle arcs get capacity total+1: finite, never in a minimum cut.
-    big = g.total_weight() + 1
-    arcs = [(0, node[v], w) for v, w in g.side1]
-    arcs += [(node[v], sink, w) for v, w in g.side2]
-    arcs += [(node[u], node[v], big) for u, v in g.edges]
-    value, reached = _max_flow(sink + 1, arcs, 0, sink)
-    cover = frozenset([v for v, _ in g.side1 if not reached[node[v]]]
-                      + [v for v, _ in g.side2 if reached[node[v]]])
+    """A minimum-weight vertex cover and its exact weight: the minimum
+    cut closest to the source, which is unique, so it is deterministic."""
+    index1 = {v: a for a, (v, _) in enumerate(g.side1)}
+    index2 = {v: b for b, (v, _) in enumerate(g.side2)}
+    rows = [0] * len(index1)
     for u, v in g.edges:
-        if u not in cover and v not in cover:
-            raise FlowCertificateError(f"edge ({u!r}, {v!r}) left uncovered")
-    if sum(w for v, w in g.side1 + g.side2 if v in cover) != value:
-        raise FlowCertificateError(f"cover weight differs from flow {value}")
-    return cover, value
+        rows[index1[u]] |= 1 << index2[v]
+    value, reached1, reached2 = _cover(rows, [w for _, w in g.side1],
+                                       [w for _, w in g.side2])
+    cover = frozenset(compress(index1, map(not_, reached1)))
+    return cover | frozenset(compress(index2, reached2)), value
 
 
 def max_weight_independent_set(g: WeightedBipartiteGraph):
@@ -202,108 +185,127 @@ def max_weight_independent_set(g: WeightedBipartiteGraph):
     return chosen, g.total_weight() - cover_weight
 
 
-def _max_matching(rows, num2):
-    """Maximum matching of a bipartite graph; side-1 vertex a is adjacent
-    to the side-2 indices b in 0..num2-1 whose bit is set in ``rows[a]``.
+def _cover_flow(rows, w1, w2):
+    """A maximum flow of the cover network, where side-1 vertex a sends
+    at most ``w1[a]`` to the side-2 vertices b whose bit is set in
+    ``rows[a]``, each taking at most ``w2[b]``.
 
-    A greedy seed matches each row in order to its highest free side-2
-    bit.  The oracle lists both sides in lex order, up to a relabeling,
-    and a set conflicts mostly with sets far from it in that order, so
-    the highest bit pairs a row with the far end, close to the complement
-    pairing; the lowest bit would send the early rows to the middle and
-    block the later ones.  Then a breadth-first search runs from all free
-    rows at once, takes each side-2 vertex out of ``unseen`` the first
-    time a row meets it and queues its mate with that row as ``parent``.
-    The first row to meet a free side-2 vertex ends the search; the path
-    back from it is re-matched and the search starts again.  The first
-    search that meets no free vertex runs to the end, so its reached rows
-    and their union of bits are the König sets: the vertices alternating
-    paths from the free rows reach under a maximum matching, the same for
-    every maximum matching whatever the seed or bit order.  The seed
-    leaves at most 7 rows to augment on the oracle's graphs (at most 4 on
-    the set-audit benchmark's 2,845, 1,251 of which need none, and 1 on
-    the (21, 7, 4) graphs of up to 14,750 rows); the worst case is one
-    search per row the seed leaves free, plus the last.  Returns
-    ``mate1``, ``mate2`` (-1 when free), the flags of the reached rows
-    and the bitset of the reached side-2 vertices.
+    A greedy seed has each row push into its highest open bits: the
+    oracle lists both sides in lex order, up to a relabeling, and a set
+    conflicts mostly with sets far from it in that order.  Each
+    breadth-first search then steps from the rows with supply left to
+    their bits not yet seen, and from a side-2 vertex back to the rows
+    sending to it, until a side-2 vertex with demand left ends a
+    shortest augmenting path (as in Edmonds-Karp) that takes the
+    bottleneck.  The search that meets none reaches the source side of
+    the final residual network, the same for every maximum flow.  The
+    seed leaves at most 7 paths on the oracle's graphs.  Returns each
+    side-2 vertex's senders and their amounts, the flags of the reached
+    rows and the bitset of the reached side-2 vertices.
     """
-    num1 = len(rows)
-    mate1, mate2 = [-1] * num1, [-1] * num2
-    full2 = free2 = (1 << num2) - 1
+    left2, roots = list(w2), {}  # demand left; rows with supply left
+    into = [{} for _ in left2]
+    full2 = open2 = (1 << len(left2)) - 1
     for a, row in enumerate(rows):
-        if nb := row & free2:
+        supply = w1[a]
+        while supply and (nb := row & open2):
             b = nb.bit_length() - 1
-            mate1[a], mate2[b] = b, a
-            free2 ^= 1 << b
+            into[b][a] = d = left2[b] if left2[b] < supply else supply
+            supply -= d
+            left2[b] -= d
+            if not left2[b]:
+                open2 ^= 1 << b
+        if supply:
+            roots[a] = supply
+    via = [-1] * len(rows)
     while True:
-        parent = [a if b < 0 else -1 for a, b in enumerate(mate1)]
-        queue = [a for a, b in enumerate(mate1) if b < 0]
-        unseen = full2
+        parent = [-1] * len(rows)
+        for a in roots:
+            parent[a] = a
+        queue, unseen = list(roots), full2
         for a in queue:  # the loop also visits rows appended below
             nb = rows[a] & unseen
-            if nb & free2:
+            if nb & open2:
                 break
             unseen ^= nb
             while nb:
                 low = nb & -nb
                 nb ^= low
-                c = mate2[low.bit_length() - 1]
-                parent[c] = a
-                queue.append(c)
+                b = low.bit_length() - 1
+                for c in into[b]:
+                    if parent[c] < 0:
+                        parent[c], via[c] = a, b
+                        queue.append(c)
         else:
-            return mate1, mate2, [p >= 0 for p in parent], full2 ^ unseen
-        # each row on the path takes the next vertex and hands its old
-        # mate to its parent, back to the free row the path started from
-        b = (nb & free2).bit_length() - 1
-        free2 ^= 1 << b
-        while b >= 0:
-            mate1[a], mate2[b], b = b, a, mate1[a]
+            return into, [p >= 0 for p in parent], full2 ^ unseen
+        b = (nb & open2).bit_length() - 1
+        d, c = left2[b], a
+        while parent[c] != c:
+            d = min(d, into[via[c]][c])
+            c = parent[c]
+        d = min(d, roots[c])
+        roots[c] -= d
+        if not roots[c]:
+            del roots[c]
+        left2[b] -= d
+        if not left2[b]:
+            open2 ^= 1 << b
+        # each row on the path sends d more to the next side-2 vertex and
+        # d less to the one it was reached by
+        while True:
+            into[b][a] = into[b].get(a, 0) + d
+            if parent[a] == a:
+                break
+            b = via[a]
+            if x := into[b].pop(a) - d:
+                into[b][a] = x
             a = parent[a]
 
 
-#: bytes.translate table from the digits of a binary numeral to the
-#: flags of its unset bits.
-_UNSET = bytes.maketrans(b"01", b"\1\0")
+def _cover(rows, w1, w2):
+    """``_cover_flow``'s value and the flags of its reached rows and
+    side-2 vertices (the latter may run one past them).  Raises
+    FlowCertificateError unless every amount is positive and on a row
+    bit, no vertex sends or takes more than its weight, the unreached
+    rows and the reached side-2 vertices cover every edge, and that
+    cover weighs the value: the flow is then maximum, the cover minimum.
+    """
+    into, reached1, reached2 = _cover_flow(rows, w1, w2)
+    sent, value = [0] * len(rows), 0
+    for b, senders in enumerate(into):
+        taken = 0
+        for a, x in senders.items():
+            if x <= 0:
+                raise FlowCertificateError(f"row {a} sends {x} to {b}")
+            if not rows[a] & 1 << b:
+                raise FlowCertificateError(f"row {a} sends to non-bit {b}")
+            sent[a] += x
+            taken += x
+        if taken > w2[b]:
+            raise FlowCertificateError(f"column {b} takes {taken} > {w2[b]}")
+        value += taken
+    for a in compress(range(len(rows)), map(gt, sent, w1)):
+        raise FlowCertificateError(f"row {a} sends {sent[a]} > weight {w1[a]}")
+    uncovered = ~reached2
+    for a, row in compress(enumerate(rows), reached1):
+        if row & uncovered:
+            raise FlowCertificateError(f"an edge at row {a} is left uncovered")
+    flags2 = list(map("1".__eq__, reversed(f"{reached2:0{len(w2)}b}")))
+    cover = sum(compress(w1, map(not_, reached1))) + sum(compress(w2, flags2))
+    if cover != value:
+        raise FlowCertificateError(f"cover weight {cover} != flow {value}")
+    return value, reached1, flags2
 
 
 def unit_weight_independent_set(rows, num2):
     """A maximum independent set of a unit-weight bipartite graph given
     as one bitset row per side-1 vertex: bit b of ``rows[a]`` is set iff
-    a is adjacent to side-2 vertex b in 0..num2-1.
-
-    By König's theorem the cover (side-1 vertices not reached by
-    alternating paths from the free side-1 vertices, plus side-2 vertices
-    that are) has the size of a maximum matching.  Those reached vertices
-    are the residual-reachable side of the unit-capacity flow, so the
-    cover is the source-closest minimum cut that
-    ``min_weight_vertex_cover`` returns.  Raises FlowCertificateError
-    unless each matched pair is a row bit with agreeing mates, the cover
-    covers every edge and |cover| = |matching|.  Returns (value, chosen
-    side-1 indices, chosen side-2 indices), indices ascending.
-    """
-    mate1, mate2, reached1, reached2 = _max_matching(rows, num2)
-    matched = 0
-    for a, b in enumerate(mate1):
-        if b >= 0:
-            if not rows[a] >> b & 1:
-                raise FlowCertificateError(f"side-1 vertex {a} has mate {b}, "
-                                           f"not a bit of its row")
-            if mate2[b] != a:
-                raise FlowCertificateError(f"side-2 vertex {b} is not mated "
-                                           f"back to side-1 vertex {a}")
-            matched += 1
-    if num2 - mate2.count(-1) != matched:
-        raise FlowCertificateError("side-2 mates disagree with side 1")
-    if reduce(or_, compress(rows, reached1), 0) & ~reached2:
-        a = next(a for a, row in compress(enumerate(rows), reached1)
-                 if row & ~reached2)
-        raise FlowCertificateError(f"an edge at side-1 vertex {a} is "
-                                   f"left uncovered")
-    if reached1.count(False) + reached2.bit_count() != matched:
-        raise FlowCertificateError(f"cover size differs from matching "
-                                   f"size {matched}")
+    a is adjacent to side-2 vertex b in 0..num2-1.  The flow is then a
+    maximum matching, and its cut König's cover: the rows alternating
+    paths from the unmatched rows do not reach, plus the side-2 vertices
+    they do.  Returns (value, chosen side-1 indices, chosen side-2
+    indices), indices ascending."""
+    value, reached1, reached2 = _cover(rows, [1] * len(rows), [1] * num2)
     chosen1 = list(compress(range(len(rows)), reached1))
-    # the digits of reached2, lowest bit first, as 1 where the bit is unset
-    unreached2 = f"{reached2:0{num2}b}"[::-1].encode().translate(_UNSET)
-    chosen2 = list(compress(range(num2), unreached2))
-    return len(rows) + num2 - matched, chosen1, chosen2
+    chosen2 = list(compress(range(num2), map(not_, reached2)))
+    return len(rows) + num2 - value, chosen1, chosen2

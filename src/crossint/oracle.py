@@ -18,11 +18,9 @@ serves all anchor sizes of an instance.
 
 Conflict graphs have unit weights and are dense, so each is stored as
 one bitset row per side-1 set, built by a bit-sliced intersection
-counter (``_conflict_rows``), and its MIS is solved on those rows by a
-maximum matching (a far-end greedy seed, then breadth-first augmenting
-searches on the bitsets) and the König cover
-(``bipartite.unit_weight_independent_set``); the weighted Dinic core
-serves the weighted orbit graph only.
+counter (``_conflict_rows``), and its MIS is read off the König cover
+that ``bipartite.unit_weight_independent_set`` finds on those rows,
+with the flow core that also serves the weighted orbit graphs.
 """
 
 from .bipartite import unit_weight_independent_set

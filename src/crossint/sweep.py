@@ -129,7 +129,7 @@ def _check_theorem(params: Params, spec: SweepSpec):
 def _check_lemma1(params: Params, spec: SweepSpec):
     """The orbit-graph MWIS against |C| - 1: one side's weight when the
     class's ``_class_chains`` paths carry a flow that saturates both
-    sides, checked against the graph itself, and Dinic's value otherwise."""
+    sides, checked against the graph itself, else the bipartite MWIS."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
@@ -170,12 +170,11 @@ def _check_lemma2(params: Params, spec: SweepSpec):
     yield check_offset_weight_ordering(params)
 
 
-#: The offset intervals of each chain class met in the current sweep
-#: (``OrbitGraph.offset_intervals``, which name the class) -> the
-#: ``offset_paths`` of its first decomposition that passed the
-#: validator, read by chains.  Cleared when a sweep starts and ends; each
-#: worker process of a sweep fills its own.
-_CHAIN_PATHS = {}
+#: The offset intervals (``OrbitGraph.offset_intervals``, which name a
+#: chain class) of each class whose decomposition, its ``_class_chains``
+#: paths, passed the validator in the current sweep.  Cleared when a
+#: sweep starts and ends; each worker process of a sweep fills its own.
+_VALIDATED_CLASSES = set()
 
 
 def _check_chains(params: Params, spec: SweepSpec):
@@ -192,13 +191,13 @@ def _check_chains(params: Params, spec: SweepSpec):
         return
     graph = build_orbit_graph(params)
     key = graph.offset_intervals
-    if key in _CHAIN_PATHS:
-        yield _verdict_by_offsets(graph, _CHAIN_PATHS[key])
+    if key in _VALIDATED_CLASSES:
+        yield _verdict_by_offsets(graph, _class_chains(key)[0])
         return
     dec = _decompose(graph)
     verdict = validate_decomposition(dec, graph)
     if verdict.passed:
-        _CHAIN_PATHS[key] = dec.offset_paths()
+        _VALIDATED_CLASSES.add(key)
     yield verdict
 
 
@@ -354,7 +353,7 @@ def iter_records(spec: SweepSpec):
     sorting within each triple gives the order of one global sort.
     """
     triples = spec.instances()
-    _CHAIN_PATHS.clear()
+    _VALIDATED_CLASSES.clear()
     try:
         if spec.jobs > 1:
             with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
@@ -364,7 +363,7 @@ def iter_records(spec: SweepSpec):
             for triple in triples:
                 yield from _run_instance(spec, triple)
     finally:
-        _CHAIN_PATHS.clear()
+        _VALIDATED_CLASSES.clear()
 
 
 def report_meta(spec: SweepSpec) -> dict:

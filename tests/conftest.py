@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from crossint import (Family, KSet, Params, build_extremal_family,
-                      is_s_cross_intersecting, sweep)
+from crossint import (Family, FlowNetwork, KSet, Params,
+                      build_extremal_family, is_s_cross_intersecting,
+                      max_flow, sweep)
 
 
 def exhaustive_mwis(side1, side2, edges):
@@ -37,6 +38,33 @@ def exhaustive_mwis(side1, side2, edges):
         value += total2 - sum(w for mask, w in blocked_by if mask & subset)
         best = max(best, value)
     return best
+
+
+def dinic_cover(g):
+    """A minimum-weight vertex cover of ``g`` and its weight, read off the
+    minimum cut that Dinic (the public ``max_flow``) returns on the cover
+    network.  The source sends each side-1 vertex its weight and each
+    side-2 vertex sends the sink its weight; the middle arcs have
+    capacity total+1, so they are never cut.  Independent of the bitset
+    search behind ``min_weight_vertex_cover``.
+    """
+    big = g.total_weight() + 1
+    arcs = ([("s", (1, v), w) for v, w in g.side1]
+            + [((2, v), "t", w) for v, w in g.side2]
+            + [((1, u), (2, v), big) for u, v in g.edges])
+    nodes = ["s", "t"] + [(1, v) for v, _ in g.side1] + \
+        [(2, v) for v, _ in g.side2]
+    value, cut = max_flow(FlowNetwork(tuple(nodes), tuple(arcs), "s", "t"))
+    assert all(u == "s" or v == "t" for u, v, _ in cut), "middle arc cut"
+    return frozenset(v[1] if u == "s" else u[1] for u, v, _ in cut), value
+
+
+def dinic_mwis(g):
+    """A maximum-weight independent set of ``g`` and its weight: the
+    complement of ``dinic_cover``."""
+    cover, weight = dinic_cover(g)
+    return (frozenset(v for v, _ in g.side1 + g.side2 if v not in cover),
+            g.total_weight() - weight)
 
 
 def random_bipartite(rng: random.Random, max_vertices=20, max_weight=100):

@@ -16,7 +16,7 @@ from crossint import (FlowCertificateError, FlowNetwork, Params,
 from crossint.bipartite import unit_weight_independent_set
 from crossint.orbitgraph import build_orbit_graph
 
-from conftest import exhaustive_mwis, random_bipartite
+from conftest import dinic_cover, dinic_mwis, exhaustive_mwis, random_bipartite
 
 
 def graph_3_2_4():
@@ -101,12 +101,47 @@ class TestVertexCover:
 
     def test_bad_cut_raises_certificate_error(self, monkeypatch):
         # a cover whose weight disagrees with the flow value must be
-        # caught by a raised check, not an assert that python -O strips
-        monkeypatch.setattr(bipartite, "_max_flow",
-                            lambda num_nodes, arcs, src, dst:
-                            (0, [True] * num_nodes))
+        # caught by a raised check, not an assert that python -O strips:
+        # no flow, and every vertex reached, so the cover is side 2
+        monkeypatch.setattr(bipartite, "_cover_flow",
+                            lambda rows, w1, w2: ([{}], [True, True], 1))
         with pytest.raises(FlowCertificateError):
             min_weight_vertex_cover(graph_3_2_4())
+
+    def test_matches_dinic_on_large_weights(self, rng):
+        # 0-12 vertices a side and weights up to 10**12, where the random
+        # graphs of TestIndependentSet stop at 100; empty sides and
+        # edgeless graphs included
+        shapes = set()
+        for _ in range(400):
+            num1, num2 = rng.randint(0, 12), rng.randint(0, 12)
+            top = rng.choice((1, 10, 10**6, 10**12))
+            prob = rng.random()
+            g = WeightedBipartiteGraph(
+                tuple(((1, a), rng.randint(1, top)) for a in range(num1)),
+                tuple(((2, b), rng.randint(1, top)) for b in range(num2)),
+                tuple(((1, a), (2, b)) for a in range(num1)
+                      for b in range(num2) if rng.random() < prob))
+            assert min_weight_vertex_cover(g) == dinic_cover(g)
+            assert max_weight_independent_set(g) == dinic_mwis(g)
+            shapes.add((min(num1, num2) == 0, not g.edges))
+        assert shapes == {(False, False), (False, True), (True, True)}
+
+    def test_long_weighted_path_does_not_recurse(self):
+        # the path of test_long_augmenting_path_does_not_recurse with
+        # weight 10**12 + 1 on every vertex: the seed sends each row's
+        # weight to its higher bit and leaves the last row's, and the one
+        # augmenting path left re-routes all 1,500 rows
+        n, w = 1500, 10**12 + 1
+        rows = [3 << i for i in range(n - 1)] + [1 << (n - 1)]
+        into, _, _ = bipartite._cover_flow(rows, [w] * n, [w] * n)
+        assert into == [{b: w} for b in range(n)]
+        g = WeightedBipartiteGraph(
+            tuple(((1, a), w) for a in range(n)),
+            tuple(((2, b), w) for b in range(n)),
+            tuple(((1, a), (2, b)) for a in range(n) for b in (a, a + 1)
+                  if rows[a] >> b & 1))
+        assert min_weight_vertex_cover(g) == dinic_cover(g)
 
     def test_deterministic(self):
         g = build_orbit_graph(Params(11, 5, 2)).as_bipartite()
@@ -158,25 +193,36 @@ def dinic_reference(num1, num2, edges):
     g = WeightedBipartiteGraph(tuple(((1, a), 1) for a in range(num1)),
                                tuple(((2, b), 1) for b in range(num2)),
                                tuple(((1, a), (2, b)) for a, b in sorted(edges)))
-    return max_weight_independent_set(g)
+    return dinic_mwis(g)
 
 
 def bitset_rows(num1, edges):
     return [sum(1 << b for x, b in edges if x == a) for a in range(num1)]
 
 
-#: A matching or König cover that fails exactly one part of its
-#: certificate, for rows [1, 0] (one edge, a0-b0) and one side-2 vertex,
-#: with the message that part raises.
+def unit_flow(rows, num2):
+    """``_cover_flow`` on unit weights."""
+    return bipartite._cover_flow(rows, [1] * len(rows), [1] * num2)
+
+
+#: A unit-weight flow (a matching) and cut that fail exactly one clause
+#: of the certificate, as (rows, num2, the ``_cover_flow`` result), with
+#: the message that clause raises.  One edge a0-b0 unless named.
 BAD_MATCHINGS = {
-    "mates disagree": (([0, -1], [-1], [False, True], 0),
-                       "not mated back"),
-    "mate not adjacent": (([-1, 0], [1], [False, True], 0),
-                          "not a bit of its row"),
-    "edge left uncovered": (([-1, -1], [-1], [True, True], 0),
+    "zero amount": ([1, 0], 1, ([{0: 0}], [False, True], 0),
+                    "sends 0 to"),
+    "mate not adjacent": ([1, 0], 1, ([{1: 1}], [False, False], 0),
+                          "non-bit"),
+    # edges a0-b0 and a0-b1: a0 sends to both
+    "row over its weight": ([3], 2, ([{0: 1}, {0: 1}], [False], 0),
+                            "row 0 sends 2 > weight 1"),
+    # edges a0-b0 and a1-b0: both send to b0
+    "mates disagree": ([1, 1], 1, ([{0: 1, 1: 1}], [False, False], 0),
+                       "column 0 takes 2 > 1"),
+    "edge left uncovered": ([1, 0], 1, ([{}], [True, True], 0),
                             "left uncovered"),
-    "cover larger than matching": (([-1, -1], [-1], [False, True], 0),
-                                   "cover size differs"),
+    "cover larger than matching": ([1, 0], 1, ([{}], [False, True], 0),
+                                   "cover weight 1 != flow 0"),
 }
 
 
@@ -201,8 +247,8 @@ class TestUnitWeightIndependentSet:
         # vertices of each side, re-routing every a_i to b_i
         n = 1500
         rows = [3 << i for i in range(n - 1)] + [1 << (n - 1)]
-        mate1, _, _, _ = bipartite._max_matching(rows, n)
-        assert mate1 == list(range(n))
+        into, _, _ = unit_flow(rows, n)
+        assert into == [{b: 1} for b in range(n)]
         value, chosen1, chosen2 = unit_weight_independent_set(rows, n)
         assert value == n
         edges = {(a, b) for a, row in enumerate(rows) for b in range(n)
@@ -215,8 +261,8 @@ class TestUnitWeightIndependentSet:
         # the seed matches a_0 - b_1 and leaves a_1, adjacent to b_1 only,
         # free; an augmenting search must re-route a_0 to b_0
         rows = [0b11, 0b10]
-        mate1, mate2, _, _ = bipartite._max_matching(rows, 2)
-        assert mate1 == [0, 1] and mate2 == [0, 1]
+        into, _, _ = unit_flow(rows, 2)
+        assert into == [{0: 1}, {1: 1}]
         value, chosen1, chosen2 = unit_weight_independent_set(rows, 2)
         assert value == 2
         chosen, _ = dinic_reference(2, 2, {(0, 0), (0, 1), (1, 1)})
@@ -225,27 +271,31 @@ class TestUnitWeightIndependentSet:
 
     @pytest.mark.parametrize("fake", sorted(BAD_MATCHINGS))
     def test_bad_matching_or_cover_raises(self, monkeypatch, fake):
-        result, message = BAD_MATCHINGS[fake]
-        monkeypatch.setattr(bipartite, "_max_matching",
-                            lambda rows, num2: result)
+        rows, num2, result, message = BAD_MATCHINGS[fake]
+        monkeypatch.setattr(bipartite, "_cover_flow",
+                            lambda rows, w1, w2: result)
         with pytest.raises(FlowCertificateError, match=message):
-            unit_weight_independent_set([1, 0], 1)
+            unit_weight_independent_set(rows, num2)
 
     def test_bad_matching_raises_under_python_optimize(self):
-        # python -O strips assert statements; the certificate must survive
+        # python -O strips assert statements; the certificate must
+        # survive, clause by clause
         script = (
             "from crossint import bipartite, FlowCertificateError\n"
-            "bipartite._max_matching = lambda rows, num2: "
-            f"{BAD_MATCHINGS['cover larger than matching'][0]!r}\n"
-            "try:\n"
-            "    bipartite.unit_weight_independent_set([1, 0], 1)\n"
-            "except FlowCertificateError:\n"
-            "    print('raised')\n")
+            f"for rows, num2, result, _ in {list(BAD_MATCHINGS.values())!r}:\n"
+            "    bipartite._cover_flow = lambda rows, w1, w2: result\n"
+            "    try:\n"
+            "        bipartite.unit_weight_independent_set(rows, num2)\n"
+            "    except FlowCertificateError as exc:\n"
+            "        print(exc)\n")
         env = dict(os.environ,
                    PYTHONPATH=str(Path(bipartite.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, check=True)
-        assert done.stdout == "raised\n"
+        printed = done.stdout.splitlines()
+        assert len(printed) == len(BAD_MATCHINGS)
+        for line, (_, _, _, message) in zip(printed, BAD_MATCHINGS.values()):
+            assert message in line
 
 
 def reference_hopcroft_karp(rows, num2):
@@ -323,8 +373,8 @@ def reference_hopcroft_karp(rows, num2):
 
 
 def far_end_seed_size(rows, num2):
-    """The number of pairs the greedy seed of ``_max_matching`` makes:
-    each row in order takes its highest free side-2 bit."""
+    """The number of pairs the greedy seed of ``_cover_flow`` makes on
+    unit weights: each row in order takes its highest free side-2 bit."""
     free2, pairs = (1 << num2) - 1, 0
     for row in rows:
         if nb := row & free2:
@@ -334,16 +384,17 @@ def far_end_seed_size(rows, num2):
 
 
 def oracle_graphs():
-    """Every (rows, num2) that ``_max_matching`` gets from the oracle on
+    """Every (rows, num2) that ``_cover_flow`` gets from the oracle on
     the deep-audit instances of the set-audit benchmark (verify and the
     reduction audit, C(n, k) <= 35, k 2..6) and on the eight instances of
-    the verify-oracle benchmark."""
+    the verify-oracle benchmark, all with unit weights."""
     graphs = []
-    solve = bipartite._max_matching
+    solve = bipartite._cover_flow
 
-    def recording(rows, num2):
-        graphs.append((list(rows), num2))
-        return solve(rows, num2)
+    def recording(rows, w1, w2):
+        assert set(w1) | set(w2) <= {1}
+        graphs.append((list(rows), len(w2)))
+        return solve(rows, w1, w2)
 
     audit = [Params(2 * k - s + 1 + l, k, s) for k in range(2, 7)
              for s in range(1, k) for l in range(10)
@@ -352,13 +403,24 @@ def oracle_graphs():
                                    (11, 5, 2), (12, 5, 2), (11, 5, 3),
                                    (12, 5, 3), (12, 6, 3))]
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(bipartite, "_max_matching", recording)
+        patched.setattr(bipartite, "_cover_flow", recording)
         for params in audit:
             verify_theorem(params)
             max_sum_nonempty_unreduced(params)
         for params in verify:
             verify_theorem(params)
     return len(audit), graphs
+
+
+def matching_size(into):
+    """The size of the matching a unit-weight ``_cover_flow`` returns,
+    after asserting that every amount is 1 and that each row sends and
+    each column takes at most once."""
+    senders = [a for column in into for a in column]
+    assert {x for column in into for x in column.values()} <= {1}
+    assert len(set(senders)) == len(senders)
+    assert all(len(column) <= 1 for column in into)
+    return len(senders)
 
 
 class TestAgainstLowestBitSeed:
@@ -368,15 +430,13 @@ class TestAgainstLowestBitSeed:
         # from the verify instances
         assert (instances, len(graphs)) == (15, 2873)
         for rows, num2 in graphs:
-            mate1, mate2, reached1, reached2 = \
-                bipartite._max_matching(rows, num2)
+            into, reached1, reached2 = unit_flow(rows, num2)
             ref1, _, ref_reached1, ref_reached2 = \
                 reference_hopcroft_karp(rows, num2)
-            size = sum(b >= 0 for b in mate1)
+            size = matching_size(into)
             assert size == sum(b >= 0 for b in ref1)
-            assert size == sum(a >= 0 for a in mate2)
             assert reached1 == ref_reached1 and reached2 == ref_reached2
-            # the traffic _max_matching's docstring counts on: at most 7
+            # the traffic _cover_flow's docstring counts on: at most 7
             # augmenting searches past the far-end seed
             assert size - far_end_seed_size(rows, num2) <= 7
 
@@ -388,12 +448,11 @@ class TestAgainstLowestBitSeed:
         rows = [r << 2 * i for i in range(copies) for r in (0b11, 0b10)]
         num2 = 2 * copies
         assert far_end_seed_size(rows, num2) == copies
-        mate1, mate2, reached1, reached2 = bipartite._max_matching(rows, num2)
+        into, reached1, reached2 = unit_flow(rows, num2)
         ref1, _, ref_reached1, ref_reached2 = \
             reference_hopcroft_karp(rows, num2)
-        size = sum(b >= 0 for b in mate1)
+        size = matching_size(into)
         assert size == sum(b >= 0 for b in ref1) == num2
-        assert size == sum(a >= 0 for a in mate2)
         assert reached1 == ref_reached1 and reached2 == ref_reached2
         value, chosen1, chosen2 = unit_weight_independent_set(rows, num2)
         edges = {(a, b) for a, row in enumerate(rows) for b in range(num2)

@@ -8,8 +8,8 @@ from dataclasses import replace
 import pytest
 
 from crossint import (ConfigError, Params, ReportBundle, SweepSpec, binom,
-                      emit_report, extremal, max_weight_independent_set,
-                      orbitgraph, run_sweep, size_extremal_family, sweep)
+                      emit_report, extremal, orbitgraph, run_sweep,
+                      size_extremal_family, sweep)
 from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
 from crossint.orbitgraph import build_chain_decomposition, validate_decomposition
@@ -17,7 +17,7 @@ from crossint.oracle import _conflict_rows, _iter_conflict_rows
 from crossint.report import CSV_COLUMNS, Verdict
 from crossint.sweep import CHECK_NAMES
 
-from conftest import break_chain_decompositions
+from conftest import break_chain_decompositions, dinic_mwis
 
 
 def strip_timings(records):
@@ -531,18 +531,21 @@ class TestChainClasses:
         assert records == [full_chains_record(p) for p in self.CLASS]
 
     def test_memo_entry_of_other_intervals_is_never_read(self, monkeypatch):
-        # empty paths would fail the sum check if they were read
+        # a class validated under other intervals must not spare this
+        # triple its full validation
         params = self.CLASS[1]
         intervals = orbitgraph.build_orbit_graph(params).offset_intervals
         wrong = ((intervals[0][0], intervals[0][1] - 1),) + intervals[1:]
-        monkeypatch.setattr(sweep, "_CHAIN_PATHS", {wrong: ()})
+        monkeypatch.setattr(sweep, "_VALIDATED_CLASSES", {wrong})
         validated = count_validations(monkeypatch)
         records = check_records("chains", params, self.SPEC)
         assert validated == [params]
         assert strip_timings(records) == [full_chains_record(params)]
-        assert sweep._CHAIN_PATHS == {
-            wrong: (),
-            intervals: build_chain_decomposition(params).offset_paths()}
+        assert sweep._VALIDATED_CLASSES == {wrong, intervals}
+        # the paths a later triple of the class is checked on are the
+        # validated decomposition's
+        assert orbitgraph._class_chains(intervals)[0] == \
+            build_chain_decomposition(params).offset_paths()
 
     def test_lemma1_and_chains_validate_each_class_once(self, monkeypatch):
         spec = replace(self.SPEC, checks=("lemma1", "chains"), cap=1)
@@ -562,7 +565,7 @@ class TestChainClasses:
         # a second sweep validates its classes afresh, so a broken build
         # installed between two sweeps is seen
         assert run_sweep(self.SPEC).passed
-        assert sweep._CHAIN_PATHS == {}
+        assert sweep._VALIDATED_CLASSES == set()
         break_chain_decompositions(monkeypatch)
         bundle = run_sweep(self.SPEC)
         assert bundle.summary["pass"] == 0 and bundle.summary["fail"] > 5
@@ -571,7 +574,7 @@ class TestChainClasses:
 def lemma1_reference(params):
     """The lemma1 record with Dinic's MWIS of the orbit graph, untimed."""
     graph = orbitgraph.build_orbit_graph(params)
-    weight = max_weight_independent_set(graph.as_bipartite())[1]
+    weight = dinic_mwis(graph.as_bipartite())[1]
     want = size_extremal_family(params) - 1
     return Verdict("lemma1.orbit-certificate", params, want, weight,
                    weight == want, detail="orbit-graph MWIS vs extremal "
@@ -595,8 +598,8 @@ def swap_weights(monkeypatch):
 
 class TestLemma1Route:
     """lemma1 reads the MWIS off the class's chain paths when they carry
-    a saturating flow and asks Dinic otherwise; either way its record is
-    the one Dinic's MWIS gives."""
+    a saturating flow and asks the bipartite flow core otherwise; either
+    way its record is the one Dinic's MWIS gives."""
 
     #: cap 1: no triple gets a lemma1.enumerated-mis record
     SPEC = SweepSpec(ks=(4,), ss=(2,), ls=(0,), checks=("lemma1",), cap=1)
@@ -613,7 +616,7 @@ class TestLemma1Route:
     def flows_and_verdicts(self, monkeypatch):
         """Each triple's path-flow result and lemma1 status, after
         asserting its records equal the reference."""
-        monkeypatch.setattr(sweep, "_CHAIN_PATHS", {})
+        monkeypatch.setattr(sweep, "_VALIDATED_CLASSES", set())
         flows, certify = {}, sweep._saturating_path_flow
 
         def recorded(graph, paths):
@@ -634,7 +637,7 @@ class TestLemma1Route:
         assert all(flows.values())
         assert set(statuses.values()) == {"pass"}
 
-    def test_swapped_weights_fall_back_to_dinic(self, monkeypatch):
+    def test_swapped_weights_fall_back_to_the_flow_core(self, monkeypatch):
         swap_weights(monkeypatch)
         flows, statuses = self.flows_and_verdicts(monkeypatch)
         no_flow = [p for p in self.TRIPLES if not flows[p]]
