@@ -37,7 +37,9 @@ only the weights w(s+j) differ from triple to triple.  The offset
 intervals name the class: m is their count and max(0, d) the lower
 end of the first.  _class_chains, keyed by them, builds each class's
 paths once, as positions in side1 + side2; classify_edges and
-build_chain_decomposition put a triple's own vertices on them.
+build_chain_decomposition put a triple's own vertices on them, and
+_class_flow_paths checks their fit to lemma 1's path flow once: a
+triple then costs its weights (_flow_amounts_hold, _verdict_by_offsets).
 """
 
 from dataclasses import dataclass
@@ -132,13 +134,13 @@ def build_orbit_graph(params: Params) -> OrbitGraph:
     """The weighted conflict graph between orbit profiles of both sides."""
     _require_graph_params(params)
     k, s, l = params.k, params.s, params.l
-    intervals = []
-    for i in range(s, k):
-        lo, hi = max(s, k - l - i), k + s - 1 - i  # <= k-1 as i >= s
+    # (max(s, k-l-i), k+s-1-i <= k-1), without the cost of a max call
+    intervals = tuple([(k - l - i if k - l - i > s else s, k + s - 1 - i)
+                       for i in range(s, k)])
+    for i, (lo, hi) in enumerate(intervals, s):
         if lo > hi:
             raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
-        intervals.append((lo, hi))
-    return OrbitGraph(params, _weight_row(params.n, k)[s:k], tuple(intervals))
+    return OrbitGraph(params, _weight_row(params.n, k)[s:k], intervals)
 
 
 class TypedEdge(NamedTuple):
@@ -465,58 +467,84 @@ def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
     validate_decomposition on a graph of the same class, so every
     structural check holds here too (each middle edge, for one, sits at
     its path's midpoint), and the validator's failures would be exactly
-    each path's ``_weight_failures`` and then the sum check.  Weights
-    and middle ends are read by position, so no vertex or edge is built.
+    each path's ``_weight_failures`` and then the sum check.  One pass
+    over a path, by position, finds its weight, MWIS (as ``path_mwis``)
+    and shape; only a failing path goes to ``_weight_failures``.
     """
     params, weights = graph.params, graph.weights
-    both, own = weights + weights, graph.side1 + graph.side2
+    both = weights + weights
     failures, mwis_total = [], 0
     for path in paths:
-        path_weights = [both[x] for x in path]
-        best = path_mwis(path_weights)
-        half = len(path) // 2
-        failures += _weight_failures(path_weights, best, own[path[half - 1]],
-                                     own[path[half]])
+        half, monotone = len(path) // 2, True
+        take = skip = total = top = 0
+        for t, x in enumerate(path):
+            w = both[x]
+            if w < top if t < half else w > top:
+                monotone = False
+            total += w
+            take, skip, top = skip + w, take if take > skip else skip, w
+        best = take if take > skip else skip
         mwis_total += best
+        left, right = path[half - 1], path[half]
+        if not monotone or both[left] != both[right] or 2 * best != total:
+            own = graph.side1 + graph.side2
+            failures += _weight_failures([both[x] for x in path], best,
+                                         own[left], own[right])
     return _chains_verdict(params, len(paths), mwis_total, sum(weights),
                            failures)
 
 
-def _saturating_path_flow(graph: OrbitGraph, paths) -> bool:
-    """Whether ``paths``, in the positions of ``offset_paths``, carry a
-    flow along graph edges that saturates every vertex of both sides.
-
-    The paths must cover each of the 2m vertices exactly once and step
-    between the sides along graph edges.  Along a path v0 ... vL the
-    amounts f(e0) = w(v0) and f(et) = w(vt) - f(e(t-1)) must stay >= 0
-    and end at w(vL).  The flow then has one side's weight as its value,
-    so a minimum vertex cover weighs one side and the MWIS is
-    ``sum(graph.weights)``.  Returns False, without raising, when any
-    of this fails.
-    """
-    m, s, intervals = len(graph.weights), graph.params.s, graph.intervals
-    both, seen = graph.weights * 2, [False] * (2 * m)
+def _flow_paths_fit(intervals: tuple, paths) -> bool:
+    """The class part of ``_saturating_path_flow``: whether ``paths``
+    cover the 2m positions of the class with these ``offset_intervals``
+    once each and step between the sides along its edges."""
+    m, covered = len(intervals), sorted(chain.from_iterable(paths))
+    if not all(paths) or covered != list(range(2 * m)):
+        return False
     for path in paths:
-        if not path:
-            return False
-        amount, prev = 0, None  # amount: the flow on the edge into x
-        for x in path:
-            if not 0 <= x < 2 * m or seen[x]:
+        for a, b in zip(path, path[1:]):
+            a, b = (a, b) if a < b else (b, a)  # side-1, side-2 position
+            lo, hi = intervals[a] if a < m <= b else (1, 0)
+            if not lo <= b - m <= hi:
                 return False
-            seen[x] = True
-            if prev is not None:
-                a, b = sorted((prev, x))  # side-1 and side-2 position
-                if not a < m <= b:
-                    return False
-                lo, hi = intervals[a]
-                if not lo <= b - m + s <= hi:
-                    return False
-            amount, prev = both[x] - amount, x
+    return True
+
+
+def _flow_amounts_hold(graph: OrbitGraph, paths) -> bool:
+    """The triple part of ``_saturating_path_flow``: whether, with the
+    graph's weights, the amounts f(e0) = w(v0) and f(et) = w(vt) -
+    f(e(t-1)) along each path v0 ... vL stay >= 0 and end at w(vL)."""
+    both = graph.weights * 2
+    for path in paths:
+        amount = 0  # the flow on the edge into the next vertex
+        for x in path:
+            amount = both[x] - amount
             if amount < 0:
                 return False
         if amount:
             return False
-    return all(seen)
+    return True
+
+
+def _saturating_path_flow(graph: OrbitGraph, paths) -> bool:
+    """Whether ``paths``, in the positions of ``offset_paths``, carry a
+    flow along graph edges that saturates every vertex of both sides, so
+    that a minimum vertex cover weighs one side and the MWIS is
+    ``sum(graph.weights)``.  Returns False, without raising, if not."""
+    return (_flow_paths_fit(graph.offset_intervals, paths)
+            and _flow_amounts_hold(graph, paths))
+
+
+@lru_cache(maxsize=1024)  # the classes of _class_chains
+def _class_flow_paths(intervals: tuple):
+    """The class's ``_class_chains`` paths if they pass
+    ``_flow_paths_fit``, else None, also when building them raises:
+    lemma 1 reads a certificate off the chains, not rests on them."""
+    try:
+        paths = _class_chains(intervals)[0]
+    except (TypedEdgeNotInW, DecompositionViolation):
+        return None
+    return paths if _flow_paths_fit(intervals, paths) else None
 
 
 def _orbit_masks(params: Params, profile: int):

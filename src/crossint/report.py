@@ -2,13 +2,16 @@
 
 A report has one layout, a head line, one line per record and a tail,
 shared by whole bundles and by the CLI, which streams a sweep's records
-through a spool."""
+through a spool.  Every JSON value goes through one C encoder, built
+once per process, and record lines go out in batches, one write each."""
 
 import csv
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 
 from .sets import Params
 
@@ -50,10 +53,20 @@ class Verdict:
 
 CSV_COLUMNS = ("n", "k", "s", "l", "check", "formula_value", "oracle_value",
                "verdict", "millis")
+_CSV_FIELDS = itemgetter(*CSV_COLUMNS[:7], "status", "millis")
 
 REPORT_FORMATS = ("json", "csv")
 
-_encode = json.JSONEncoder(default=str).encode
+#: The C encoder ``json.JSONEncoder(default=str).encode`` builds on each
+#: call, built once; records are trees, so no circular-reference markers.
+_ENCODER = c_make_encoder(None, str, encode_basestring_ascii, None, ": ",
+                          ", ", False, False, True)
+_BATCH_RECORDS = 64  # record lines joined into one write
+
+
+def _encode(obj) -> str:
+    """``obj`` as ``json.JSONEncoder(default=str).encode`` renders it."""
+    return "".join(_ENCODER(obj, 0))
 
 
 def _summary(counts: Counter) -> dict:
@@ -71,23 +84,18 @@ def report_head(fmt: str, meta: dict) -> str:
 
 
 def write_records(records, fmt: str, fh) -> dict:
-    """Write each record's line to ``fh`` as it arrives and return the
-    summary counts.  Nothing is held back, so a stream of records costs
-    the memory of one record."""
-    counts = Counter()
-    if fmt == "json":
-        separator = "\n"
-        for rec in records:
-            counts[rec["status"]] += 1
-            fh.write(separator + _encode(rec))
-            separator = ",\n"
-    else:
-        row = csv.writer(fh, lineterminator="\n").writerow
-        for rec in records:
-            counts[rec["status"]] += 1
-            row((rec["n"], rec["k"], rec["s"], rec["l"], rec["check"],
-                 rec["formula_value"], rec["oracle_value"], rec["status"],
-                 rec["millis"]))
+    """Write the records' lines to ``fh``, ``_BATCH_RECORDS`` records at
+    a time (one write per JSON batch), and return the summary counts.  A
+    stream of records costs the memory of one batch."""
+    counts, records, lead = Counter(), iter(records), "\n"
+    rows = csv.writer(fh, lineterminator="\n").writerows
+    while batch := list(islice(records, _BATCH_RECORDS)):
+        counts.update(map(itemgetter("status"), batch))
+        if fmt == "json":
+            fh.write(lead + ",\n".join(map(_encode, batch)))
+            lead = ",\n"
+        else:
+            rows(map(_CSV_FIELDS, batch))
     return _summary(counts)
 
 

@@ -23,8 +23,8 @@ from .extremal import (check_mirror_weight_ordering, check_offset_weight_orderin
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_class_chains, _decompose, _orbit_masks,
-                         _saturating_path_flow, _transposed,
+from .orbitgraph import (_class_chains, _class_flow_paths, _decompose,
+                         _flow_amounts_hold, _orbit_masks, _transposed,
                          _verdict_by_offsets, build_orbit_graph,
                          check_biregularity, validate_decomposition)
 from .report import ReportBundle, Verdict
@@ -128,13 +128,15 @@ def _check_theorem(params: Params, spec: SweepSpec):
 
 def _check_lemma1(params: Params, spec: SweepSpec):
     """The orbit-graph MWIS against |C| - 1: one side's weight when the
-    class's ``_class_chains`` paths carry a flow that saturates both
-    sides, checked against the graph itself, else the bipartite MWIS."""
+    class's chain paths carry a flow that saturates both sides, else the
+    bipartite MWIS.  Their fit to the class's edges is checked once per
+    class, by ``_class_flow_paths``; only their amounts, per triple."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    if _saturating_path_flow(graph, _class_chains(graph.offset_intervals)[0]):
+    paths = _class_flow_paths(graph.offset_intervals)
+    if paths is not None and _flow_amounts_hold(graph, paths):
         weight = sum(graph.weights)
     else:
         weight = max_weight_independent_set(graph.as_bipartite())[1]

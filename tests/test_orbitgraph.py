@@ -17,7 +17,8 @@ from crossint import (CrossIntError, DecompositionViolation,
                       min_pair_intersection, orbit_weight, path_mwis,
                       max_weight_independent_set, size_extremal_family,
                       validate_decomposition)
-from crossint.orbitgraph import (_path_failures, _saturating_path_flow,
+from crossint.orbitgraph import (_flow_amounts_hold, _flow_paths_fit,
+                                 _path_failures, _saturating_path_flow,
                                  _typed_offsets, _walk_chains)
 from crossint.report import Verdict
 
@@ -864,20 +865,33 @@ class TestSaturatingPathFlow:
     def test_holds_both_ways_along_the_path(self):
         for path in (self.PATH, self.PATH[::-1]):
             assert _saturating_path_flow(self.GRAPH, (path,))
+            assert _flow_paths_fit(self.GRAPH.offset_intervals, (path,))
+            assert _flow_amounts_hold(self.GRAPH, (path,))
 
-    # each input fails exactly one condition
-    @pytest.mark.parametrize("weights,paths", [
-        pytest.param((60, 20), (PATH, ()), id="extra empty path"),
-        pytest.param((60, 20), (PATH, PATH), id="repeated vertex"),
-        pytest.param((60, 20), ((0, 2),), id="vertices left out"),
-        pytest.param((60, 20), ((1, 0, 2, 3),), id="same-side step on side 1"),
-        pytest.param((20, 20), ((1, 2, 3, 0),), id="same-side step on side 2"),
-        pytest.param((60, 20), ((1, 3, 0, 2),), id="step off the graph"),
-        pytest.param((20, 60), ((3, 0, 2, 1),), id="negative amount"),
-        pytest.param((60, 20), ((1, 2, 0), (3,)), id="last amount differs"),
+    # each input fails exactly one condition: a class input the class
+    # check alone, with amounts that hold along its paths, and a triple
+    # input the amount check alone, on paths that fit the class
+    @pytest.mark.parametrize("weights,paths,part", [
+        pytest.param((60, 20), (PATH, ()), "class", id="extra empty path"),
+        pytest.param((60, 20), (PATH, PATH), "class", id="repeated vertex"),
+        pytest.param((60, 20), ((0, 2),), "class", id="vertices left out"),
+        pytest.param((60, 20), ((1, 0, 2, 3),), "class",
+                     id="same-side step on side 1"),
+        pytest.param((20, 20), ((1, 2, 3, 0),), "class",
+                     id="same-side step on side 2"),
+        pytest.param((60, 20), ((1, 3, 0, 2),), "class",
+                     id="step off the graph"),
+        pytest.param((20, 60), ((3, 0, 2, 1),), "triple",
+                     id="negative amount"),
+        pytest.param((60, 20), ((1, 2, 0), (3,)), "triple",
+                     id="last amount differs"),
     ])
-    def test_fails_without_raising(self, weights, paths):
+    def test_fails_without_raising(self, weights, paths, part):
         graph = replace(self.GRAPH, weights=weights)
+        fits = _flow_paths_fit(graph.offset_intervals, paths)
+        holds = _flow_amounts_hold(graph, paths)
+        assert (fits, holds) == ((False, True) if part == "class"
+                                 else (True, False))
         assert _saturating_path_flow(graph, paths) is False
 
 

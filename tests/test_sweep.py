@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from crossint import (ConfigError, Params, ReportBundle, SweepSpec, binom,
-                      emit_report, extremal, orbitgraph, run_sweep,
+                      emit_report, extremal, orbitgraph, report, run_sweep,
                       size_extremal_family, sweep)
 from crossint.cli import main
 from crossint.errors import EnumerationTooLarge
@@ -376,6 +376,69 @@ class TestEmitReport:
         assert printed and strip_timings(printed) == strip_timings(written)
 
 
+def odd_records(count):
+    """``count`` records of every status whose values only the stdlib's
+    ``json.JSONEncoder(default=str)`` settings render one way: witnesses
+    that ``default=str`` alone encodes, non-ASCII text, ints above 2**64,
+    floats with 17 significant digits and None."""
+    base = Verdict("lemma1.orbit-certificate", Params(9, 4, 2)).to_record()
+    odd = [
+        {"witness": {"pair": Params(9, 4, 2), "sizes": frozenset({3})}},
+        {"detail": "w(C₂¹) ≠ ω — naïve 𝕊"},
+        {"formula_value": 2 ** 64 + 1, "oracle_value": -(3 ** 50)},
+        {"millis": 0.1 + 0.2, "witness": [1 / 3, 2.0 ** -60]},
+        {"formula_value": None, "witness": None, "millis": None},
+    ]
+    return [{**base, **odd[i % len(odd)],
+             "status": ("pass", "fail", "skip")[i % 3]} for i in range(count)]
+
+
+class TestWriteRecords:
+    """write_records renders each record as the stdlib encoder with
+    ``default=str`` does, and writes JSON lines a batch at a time."""
+
+    class Writes(list):
+        write = list.append
+
+    @pytest.mark.parametrize("count", [0, 1, report._BATCH_RECORDS,
+                                       report._BATCH_RECORDS + 1])
+    def test_json_lines_equal_the_stdlib_encoder(self, count):
+        records = odd_records(count)
+        writes = self.Writes()
+        summary = report.write_records(iter(records), "json", writes)
+        encode = json.JSONEncoder(default=str).encode
+        assert "".join(writes) == "".join(
+            ("\n" if i == 0 else ",\n") + encode(rec)
+            for i, rec in enumerate(records))
+        assert len(writes) == -(-count // report._BATCH_RECORDS)
+        statuses = [rec["status"] for rec in records]
+        want = {status: statuses.count(status)
+                for status in ("pass", "fail", "skip")}
+        assert summary == {**want, "total": count}
+
+    def test_values_and_head_equal_the_stdlib_encoder(self):
+        encode = json.JSONEncoder(default=str).encode
+        for value in [*odd_records(5), None, 2 ** 70, 0.1 + 0.2, "ω",
+                      float("inf"), [Params(9, 4, 2)], {"a": {1}}]:
+            assert report._encode(value) == encode(value), value
+        meta = {"tool": "crossint", "spec": {"ks": [3]}, "note": "≠"}
+        assert report.report_head("json", meta) == \
+            encode(meta)[:-1] + ', "records": ['
+        assert report.report_tail("json", 0.1 + 0.2) == \
+            f'\n], "runtime_millis": {encode(0.1 + 0.2)}}}\n'
+
+    def test_csv_rows_unchanged(self):
+        records = odd_records(report._BATCH_RECORDS + 1)
+        buf, reference = io.StringIO(), io.StringIO()
+        summary = report.write_records(records, "csv", buf)
+        csv.writer(reference, lineterminator="\n").writerows(
+            [rec["n"], rec["k"], rec["s"], rec["l"], rec["check"],
+             rec["formula_value"], rec["oracle_value"], rec["status"],
+             rec["millis"]] for rec in records)
+        assert buf.getvalue() == reference.getvalue()
+        assert summary["total"] == len(records)
+
+
 class TestBuildOnce:
     """One orbit-graph build per triple and check; chains classifies
     each chain class (k - s, max(0, k - 2s - l)) once, at its first
@@ -614,16 +677,18 @@ class TestLemma1Route:
         orbitgraph._vertex_rows.cache_clear()
 
     def flows_and_verdicts(self, monkeypatch):
-        """Each triple's path-flow result and lemma1 status, after
+        """Each triple's path-flow result, the amount check the sweep
+        runs on its class's fitting paths, and its lemma1 status, after
         asserting its records equal the reference."""
         monkeypatch.setattr(sweep, "_VALIDATED_CLASSES", set())
-        flows, certify = {}, sweep._saturating_path_flow
+        flows, certify = {}, sweep._flow_amounts_hold
 
         def recorded(graph, paths):
+            assert orbitgraph._flow_paths_fit(graph.offset_intervals, paths)
             flows[graph.params] = certify(graph, paths)
             return flows[graph.params]
 
-        monkeypatch.setattr(sweep, "_saturating_path_flow", recorded)
+        monkeypatch.setattr(sweep, "_flow_amounts_hold", recorded)
         statuses = {}
         for params in self.TRIPLES:
             records = check_records("lemma1", params, self.SPEC)
@@ -646,6 +711,61 @@ class TestLemma1Route:
         assert len(no_flow) - len(failed) == 89 and len(failed) == 9
         assert Params(13, 6, 2) in no_flow and statuses[Params(13, 6, 2)] == "pass"
         assert Params(11, 6, 2) in failed
+
+    def test_class_fit_is_checked_once_per_class(self, monkeypatch):
+        # the orbit-sweep workload's grid: 12,586 triples in 379 classes
+        spec = SweepSpec(ks=tuple(range(3, 31)), ss=tuple(range(2, 30)),
+                         ls=tuple(range(31)), checks=("lemma1",), cap=1)
+        fitted, fit = [], orbitgraph._flow_paths_fit
+
+        def counted(intervals, paths):
+            fitted.append(intervals)
+            return fit(intervals, paths)
+
+        monkeypatch.setattr(orbitgraph, "_flow_paths_fit", counted)
+        orbitgraph._class_flow_paths.cache_clear()
+        try:
+            statuses = [rec["status"] for rec in sweep.iter_records(spec)]
+            info = orbitgraph._class_flow_paths.cache_info()
+        finally:
+            orbitgraph._class_flow_paths.cache_clear()
+        assert statuses == ["pass"] * 12586
+        assert len(fitted) == len(set(fitted)) == info.misses == 379
+        assert info.hits == 12586 - 379
+
+    @pytest.mark.parametrize("error", [orbitgraph.TypedEdgeNotInW,
+                                       orbitgraph.DecompositionViolation])
+    def test_broken_class_construction_falls_back(self, monkeypatch,
+                                                  tmp_path, error):
+        # lemma1 does not rest on the chains: a class whose paths cannot
+        # be built goes to the flow core, while check-chains still exits 2
+        def broken(intervals):
+            raise error("injected")
+
+        solved, solve = [], sweep.max_weight_independent_set
+
+        def counted(graph):
+            solved.append(graph)
+            return solve(graph)
+
+        monkeypatch.setattr(orbitgraph, "_typed_offsets", broken)
+        monkeypatch.setattr(sweep, "max_weight_independent_set", counted)
+        orbitgraph._class_chains.cache_clear()
+        orbitgraph._class_flow_paths.cache_clear()
+        try:
+            out = tmp_path / "lemma1.json"
+            assert main(["check-lemmas", "--k", "5", "--s", "2", "--l", "1",
+                         "--checks", "lemma1", "--cap", "1",
+                         "--out", str(out)]) == 0
+            records = json.loads(out.read_text())["records"]
+            assert strip_timings(records) == [lemma1_reference(Params(10, 5, 2))]
+            assert len(solved) == 1
+            assert main(["check-chains", "--k", "5", "--s", "2", "--l", "1",
+                         "--out", str(tmp_path / "chains.json")]) == 2
+            assert not (tmp_path / "chains.json").exists()
+        finally:
+            orbitgraph._class_chains.cache_clear()
+            orbitgraph._class_flow_paths.cache_clear()
 
 
 def edges_triples(n_max):
