@@ -5,11 +5,12 @@ by the orbit size.  Two profiles conflict (carry an edge) exactly when
 some pair of sets with those profiles intersects in fewer than s
 elements, which happens iff k-l <= i+t <= k+s-1.  So the side-2
 neighbours of profile i form the interval
-[max(s, k-l-i), min(k-1, k+s-1-i)], and the graph is stored as that
-interval per profile beside its slice w(s..k-1) of the (n, k) weight row;
-the edge set is derived when read, and ``side1``/``side2`` are slices of
-OrbitVertex rows built once per (n, k).  Both ends are non-increasing in
-i, so the graph is a bipartite permutation graph.
+[max(s, k-l-i), min(k-1, k+s-1-i)].  The graph stores these intervals
+in offsets i - s, one tuple per class (below) shared by all its graphs,
+beside its slice w(s..k-1) of the (n, k) weight row; the edge set and
+the intervals in profiles are derived when read, and ``side1``/``side2``
+are slices of OrbitVertex rows built once per (n, k).  Both ends are
+non-increasing in i, so the graph is a bipartite permutation graph.
 
 Three families of edges are singled out: profile-mirroring edges
 (i, k+s-1-i) of type 1, equal-profile edges (i, i) of type 2 inside the
@@ -35,11 +36,13 @@ to d = 0.  So the typed edges, the paths and every structural check of
 validate_decomposition are the same, in offsets, across a class, and
 only the weights w(s+j) differ from triple to triple.  The offset
 intervals name the class: m is their count and max(0, d) the lower
-end of the first.  _class_chains, keyed by them, builds each class's
-paths once, as positions in side1 + side2; classify_edges and
-build_chain_decomposition put a triple's own vertices on them, and
-_class_flow_paths checks their fit to lemma 1's path flow once: a
-triple then costs its weights (_flow_amounts_hold, _verdict_by_offsets).
+end of the first.  _class_intervals builds them once per class, so
+each cache keyed by them meets one tuple per class.  _class_chains
+builds each class's paths once, as positions in side1 + side2;
+classify_edges and build_chain_decomposition put a triple's own
+vertices on them, and _class_flow_paths checks their fit to lemma 1's
+path flow once: a triple then costs its weights (_flow_amounts_hold,
+_verdict_by_offsets).
 """
 
 from dataclasses import dataclass
@@ -68,9 +71,11 @@ class OrbitVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class OrbitGraph:
+    """A triple's own weights on the offset intervals of its class."""
+
     params: Params
-    weights: tuple    # w(i) for profiles i = s..k-1, the same on both sides
-    intervals: tuple  # (lo, hi): side-2 neighbours of each side-1 profile
+    weights: tuple  # w(i) for profiles i = s..k-1, the same on both sides
+    offset_intervals: tuple  # side-2 neighbours of each j = i - s, less s
 
     # OrbitVertex per profile, ascending: sliced from the (n, k) rows
     side1 = property(lambda self: _vertex_rows(
@@ -82,18 +87,17 @@ class OrbitGraph:
         return tuple(range(self.params.s, self.params.s + len(self.weights)))
 
     @property
-    def offset_intervals(self) -> tuple:
-        """The intervals with every profile taken as its offset i - s."""
+    def intervals(self) -> tuple:
+        """The offset intervals in profiles, derived on each access."""
         s = self.params.s
-        # from a list, so the tuple is allocated at its final size
-        return tuple([(lo - s, hi - s) for lo, hi in self.intervals])
+        return tuple([(lo + s, hi + s) for lo, hi in self.offset_intervals])
 
     def has_edge(self, i: int, t: int) -> bool:
-        j = i - self.params.s
-        if not 0 <= j < len(self.intervals):
+        s = self.params.s
+        if not 0 <= i - s < len(self.offset_intervals):
             return False
-        lo, hi = self.intervals[j]
-        return lo <= t <= hi
+        lo, hi = self.offset_intervals[i - s]
+        return lo <= t - s <= hi
 
     def _edge_list(self):
         """Edges (i on side 1, t on side 2), ascending."""
@@ -131,16 +135,26 @@ def _require_graph_params(params: Params):
 
 
 def build_orbit_graph(params: Params) -> OrbitGraph:
-    """The weighted conflict graph between orbit profiles of both sides."""
+    """The weighted conflict graph between orbit profiles of both sides:
+    the triple's weights on its class's ``_class_intervals``."""
     _require_graph_params(params)
-    k, s, l = params.k, params.s, params.l
-    # (max(s, k-l-i), k+s-1-i <= k-1), without the cost of a max call
-    intervals = tuple([(k - l - i if k - l - i > s else s, k + s - 1 - i)
-                       for i in range(s, k)])
-    for i, (lo, hi) in enumerate(intervals, s):
+    k, s = params.k, params.s
+    d = k - 2 * s - params.l
+    return OrbitGraph(params, _weight_row(params.n, k)[s:k],
+                      _class_intervals(k - s, d if d > 0 else 0))
+
+
+# one entry per class, sized as _class_chains: 379 classes on the
+# orbit-sweep workload's grid, 704 on criterion 5's range
+@lru_cache(maxsize=1024)
+def _class_intervals(m: int, d: int) -> tuple:
+    """The offset intervals [max(0, d-j), m-1-j] of offsets j = 0..m-1."""
+    intervals = tuple([(d - j if d > j else 0, m - 1 - j) for j in range(m)])
+    for j, (lo, hi) in enumerate(intervals):
         if lo > hi:
-            raise TypedEdgeNotInW(f"profile {i} is isolated: no mirror edge")
-    return OrbitGraph(params, _weight_row(params.n, k)[s:k], intervals)
+            raise TypedEdgeNotInW(f"offset {j} is isolated in class (m, d) = "
+                                  f"({m}, {d}): no mirror edge")
+    return intervals
 
 
 class TypedEdge(NamedTuple):

@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from operator import itemgetter
 
 from . import __version__
 from .bipartite import max_weight_independent_set
@@ -343,7 +344,7 @@ def _run_instance(spec: SweepSpec, triple) -> list:
                 record["millis"] = (now - start) * 1000.0
             records.append(record)
             start = now
-    records.sort(key=lambda r: (r["check"], r["claim"]))
+    records.sort(key=itemgetter("check", "claim"))
     return records
 
 

@@ -116,6 +116,56 @@ class TestIntervalRepresentation:
                 == [list(path) for path in dec.paths], params
 
 
+def triple(k, s, l):
+    return Params(2 * k - s + 1 + l, k, s)
+
+
+class TestClassIntervals:
+    """build_orbit_graph takes its offset intervals from its class
+    (m, max(0, d)), m = k - s and d = k - 2s - l: one tuple per class."""
+
+    def test_one_tuple_per_class(self):
+        # (k, s, l) = (6, 2, 2), (6, 2, 5) and (8, 4, 0) are the class
+        # (4, 0); (7, 3, 0) is the class (4, 1)
+        same = [build_orbit_graph(triple(*t)).offset_intervals
+                for t in ((6, 2, 2), (6, 2, 5), (8, 4, 0))]
+        assert same[0] is same[1] is same[2]
+        other = build_orbit_graph(triple(7, 3, 0)).offset_intervals
+        assert other is not same[0] and other != same[0]
+
+    def test_intervals_are_the_conflict_rule(self):
+        # the orbit-sweep workload's grid (s 2:29, l 0:30) cut at k <= 15
+        for k in range(3, 16):
+            for s in range(2, k):
+                for l in range(31):
+                    params = triple(k, s, l)
+                    intervals = build_orbit_graph(params).intervals
+                    assert intervals == tuple(
+                        (max(s, k - l - i), k + s - 1 - i)
+                        for i in range(s, k)), params
+                    for i, (lo, hi) in enumerate(intervals, s):
+                        for t in range(s, k):
+                            conflict = min_pair_intersection(i, t, params) < s
+                            assert conflict == (lo <= t <= hi), (params, i, t)
+
+    def test_has_edge_is_false_outside_the_profiles(self):
+        for params in small_graph_params():
+            g, s, k = build_orbit_graph(params), params.s, params.k
+            outside = (s - 2, s - 1, k, k + 1)
+            for x in outside:
+                for y in range(s - 2, k + 2):
+                    assert not g.has_edge(x, y), (params, x, y)
+                    assert not g.has_edge(y, x), (params, y, x)
+
+    def test_isolated_offset_raises(self):
+        # d > m - 1 means s + l < 1, which no valid Params has (s >= 2
+        # and l >= 0 are checked first), so the class builder is called
+        # directly: offset 0 would have no mirror edge
+        with pytest.raises(TypedEdgeNotInW,
+                           match=r"offset 0 .* class \(m, d\) = \(3, 3\)"):
+            orbitgraph._class_intervals(3, 3)
+
+
 class TestClassifyEdges:
     def test_9_4_2(self):
         g = build_orbit_graph(Params(9, 4, 2))

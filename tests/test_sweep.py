@@ -593,6 +593,21 @@ class TestChainClasses:
             ["fail", "pass", "pass", "pass", "pass"]
         assert records == [full_chains_record(p) for p in self.CLASS]
 
+    def test_intervals_are_built_once_per_class(self):
+        # the orbit-sweep workload's grid: 12,586 triples in 379 classes,
+        # each of whose graphs carries its class's one interval tuple
+        spec = SweepSpec(ks=tuple(range(3, 31)), ss=tuple(range(2, 30)),
+                         ls=tuple(range(31)), checks=("chains",))
+        orbitgraph._class_intervals.cache_clear()
+        try:
+            records = list(sweep.iter_records(spec))
+            info = orbitgraph._class_intervals.cache_info()
+        finally:
+            orbitgraph._class_intervals.cache_clear()
+        assert len(records) == 12586
+        assert info.currsize == info.misses == 379
+        assert info.hits == 12586 - 379
+
     def test_memo_entry_of_other_intervals_is_never_read(self, monkeypatch):
         # a class validated under other intervals must not spare this
         # triple its full validation
