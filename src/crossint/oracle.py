@@ -18,7 +18,8 @@ serves all anchor sizes of an instance.
 
 Conflict graphs have unit weights and are dense, so each is stored as
 one bitset row per side-1 set, built by a bit-sliced intersection
-counter (``_conflict_rows``), and its MIS is read off the König cover
+counter (``_conflict_rows``) that each row resumes from the previous
+set's shared lowest elements, and its MIS is read off the König cover
 that ``bipartite.unit_weight_independent_set`` finds on those rows,
 with the flow core that also serves the weighted orbit graphs.
 """
@@ -41,7 +42,9 @@ def _conflict_rows(masks1, masks2, s: int) -> list:
     The oracle's conflict graphs and ``orbitgraph.check_biregularity``
     (orbit degrees as row popcounts) need every row;
     ``sweep._enumerated_conflict`` reads the generator itself and stops
-    at the first nonzero row.
+    at the first nonzero row.  Rows are cheapest when masks1 is in lex
+    order, as ``ksubset_masks`` lists it, but any order, repeats and
+    mixed sizes give the same rows.
     """
     return list(_iter_conflict_rows(masks1, masks2, s))
 
@@ -52,10 +55,15 @@ def _iter_conflict_rows(masks1, masks2, s: int):
 
     Bit b of ``col[e]`` is set iff element e lies in masks2[b] (the key
     is the mask 1 << e); the table is built once, before the first row.
-    For each x a bit-sliced counter runs over the elements of x: bit b
-    of ``hits[j]`` is set once masks2[b] has met at least j of them, so
-    the row is the complement of ``hits[s]``.  That is k * s big-int
-    operations per row instead of one popcount per pair.
+    A bit-sliced counter runs over the elements of x, lowest first: bit
+    b of ``hits[j]`` is set once masks2[b] has met at least j of them,
+    so the row is the complement of ``hits[s]``, and element d + 1
+    updates the slices ``steps[d]``, j = min(d + 1, s) down to 1.
+    ``states[d]`` keeps the counter after the d lowest elements of the
+    previous set, so x resumes it from the lowest bit where the two
+    differ, and a row costs at most s big-int operations per element of
+    x from that bit up.  Consecutive lex-ordered k-sets share their
+    lowest elements, so most rows count one or two elements instead of k.
     """
     full = (1 << len(masks2)) - 1
     ground = 0
@@ -64,19 +72,30 @@ def _iter_conflict_rows(masks1, masks2, s: int):
     backwards = masks2[::-1]
     col = {1 << e: int("".join(["01"[y >> e & 1] for y in backwards]), 2)
            for e in range(ground.bit_length()) if ground >> e & 1}
+    steps = [range(min(d, s), 0, -1) for d in range(1, ground.bit_count() + 1)]
+    hits = [full] + [0] * s
+    states, last, row = [hits], 0, full ^ hits[s]
     for x in masks1:
-        hits = [full] + [0] * s
-        top = 0
         x &= ground
-        while x:
-            low = x & -x
-            x ^= low
-            column = col[low]
-            if top < s:
+        fresh = x ^ last
+        if fresh:
+            fresh &= -fresh
+            top = (x & (fresh - 1)).bit_count()
+            del states[top + 1:]
+            hits = states[top]
+            rest = x & -fresh
+            last = x
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                column = col[low]
+                hits = hits[:]
+                for j in steps[top]:
+                    hits[j] |= hits[j - 1] & column
                 top += 1
-            for j in range(top, 0, -1):
-                hits[j] |= hits[j - 1] & column
-        yield full ^ hits[s]
+                states.append(hits)
+            row = full ^ hits[s]
+        yield row
 
 
 def _mis_two_copies(masks1, masks2, rows):

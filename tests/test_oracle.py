@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -53,6 +55,35 @@ def pair_scan(masks1, masks2, s):
             for x in masks1]
 
 
+def lex_masks(n, k):
+    return [sum(1 << e for e in combo) for combo in combinations(range(1, n + 1), k)]
+
+
+@st.composite
+def resumed_sides(draw):
+    """(masks1, masks2, s) where masks1 resumes the counter far: up to
+    three lex-ordered runs (each a sorted sample of the k-subsets of
+    [n], n <= 12, k varying between runs), with copies of its own masks
+    inserted anywhere, some next to their original.  masks2 holds
+    subsets of [m] of any size, m <= n, so masks1 may have bits outside
+    their union; s runs from 1 to k + 1 for the largest k."""
+    n = draw(st.integers(1, 12))
+    sizes = draw(st.lists(st.integers(0, n), min_size=1, max_size=3))
+    masks1 = []
+    for k in sizes:
+        run = lex_masks(n, k)
+        picked = draw(st.sets(st.integers(0, len(run) - 1), max_size=40))
+        masks1 += [run[i] for i in sorted(picked)]
+    for _ in range(draw(st.integers(0, 6))):
+        if masks1:
+            where = draw(st.integers(0, len(masks1)))
+            masks1.insert(where, masks1[draw(st.integers(0, len(masks1) - 1))])
+    m = draw(st.integers(1, n))
+    subset = st.sets(st.integers(1, m)).map(lambda elems: sum(1 << e for e in elems))
+    masks2 = draw(st.lists(subset, max_size=12))
+    return masks1, masks2, draw(st.integers(1, max(sizes) + 1))
+
+
 class TestConflictRows:
     @given(two_sides())
     @example(([], [0b110], 1))
@@ -72,6 +103,24 @@ class TestConflictRows:
         # the enumerated edge route reads only as far as the first nonzero row
         assert any(_iter_conflict_rows(*sides)) == any(_conflict_rows(*sides)) \
             == any(pair_scan(*sides))
+
+    @given(resumed_sides())
+    # a repeat, a set missing the union of masks2, then a shorter set
+    @example(([0b0110, 0b0110, 0b11000, 0b0100], [0b0110, 0b0010], 2))
+    def test_resumed_counter_matches_pair_scan(self, sides):
+        want = pair_scan(*sides)
+        assert list(_iter_conflict_rows(*sides)) == want
+        assert _conflict_rows(*sides) == want
+
+    def test_generators_advanced_in_turn_keep_their_own_state(self):
+        # C(9, 4) = C(9, 5): both runs have 126 rows, against different
+        # sides and s, so a counter shared between calls would mix them
+        first, second = lex_masks(9, 4), lex_masks(9, 5)
+        side1, side2 = lex_masks(7, 3), lex_masks(9, 4)[::5]
+        rows = list(zip(_iter_conflict_rows(first, side1, 2),
+                        _iter_conflict_rows(second, side2, 3)))
+        assert [a for a, _ in rows] == pair_scan(first, side1, 2)
+        assert [b for _, b in rows] == pair_scan(second, side2, 3)
 
     def test_extremal_minus_base_7_3_2(self):
         params = Params(7, 3, 2)
