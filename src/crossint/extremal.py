@@ -160,9 +160,11 @@ def check_offset_weight_ordering(params: Params) -> Verdict:
     floor((k-l)/2) - i is at most the weight at floor((k+s-1)/2) + i.
 
     Vacuously passes when no offset keeps both profiles in {s..k-1}.
-    Requires slack l >= 0.  Returns a Verdict whose witness lists each
-    failing offset as a dict (offset, both profiles and their weights,
-    ``"ok": False``), or None when all hold.
+    The low profile a - i leaves first: with a = floor((k-l)/2) and
+    b = floor((k+s-1)/2), a - s <= floor(k/2) - s <= floor((k-s)/2) =
+    k-1-b when l >= 0, which is required.  Returns a Verdict whose
+    witness lists each failing offset as a dict (offset, both profiles
+    and their weights, ``"ok": False``), or None when all hold.
     """
     k, s, l = params.k, params.s, params.l
     if l < 0:
@@ -170,7 +172,7 @@ def check_offset_weight_ordering(params: Params) -> Verdict:
     a = (k - l) // 2
     b = (k + s - 1) // 2
     weights = orbit_weights(params)
-    offsets = max(0, min(a - s, k - 1 - b))
+    offsets = max(0, a - s)
     failed = []
     for i in range(1, offsets + 1):
         wlow, whigh = weights[a - i - s], weights[b + i - s]

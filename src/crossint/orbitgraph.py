@@ -40,9 +40,9 @@ end of the first.  _class_intervals builds them once per class, so
 each cache keyed by them meets one tuple per class.  _class_chains
 builds each class's paths once, as positions in side1 + side2;
 classify_edges and build_chain_decomposition put a triple's own
-vertices on them, and _class_flow_paths checks their fit to lemma 1's
-path flow once: a triple then costs its weights (_flow_amounts_hold,
-_verdict_by_offsets).
+vertices on them.  _class_certificate checks their structure once, in
+offsets, for lemma 1's path flow and the chains verdict alike: a triple
+then costs its weights (_flow_amounts_hold, _verdict_by_offsets).
 """
 
 from dataclasses import dataclass
@@ -475,16 +475,12 @@ def _chains_verdict(params: Params, path_count: int, mwis_total: int,
 
 
 def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
-    """The chains verdict of ``graph`` from its weight checks alone.
-
-    ``paths`` are the ``offset_paths`` of a decomposition that passed
-    validate_decomposition on a graph of the same class, so every
-    structural check holds here too (each middle edge, for one, sits at
-    its path's midpoint), and the validator's failures would be exactly
-    each path's ``_weight_failures`` and then the sum check.  One pass
-    over a path, by position, finds its weight, MWIS (as ``path_mwis``)
-    and shape; only a failing path goes to ``_weight_failures``.
-    """
+    """The chains verdict of ``graph`` from its weight checks alone, on
+    its class's ``_class_certificate`` ``paths``: every structural check
+    holds, so the validator's failures would be exactly each path's
+    ``_weight_failures`` and then the sum check.  One pass over a path,
+    by position, finds its weight, MWIS (as ``path_mwis``) and shape;
+    only a failing path goes to ``_weight_failures``."""
     params, weights = graph.params, graph.weights
     both = weights + weights
     failures, mwis_total = [], 0
@@ -508,26 +504,11 @@ def _verdict_by_offsets(graph: OrbitGraph, paths) -> Verdict:
                            failures)
 
 
-def _flow_paths_fit(intervals: tuple, paths) -> bool:
-    """The class part of ``_saturating_path_flow``: whether ``paths``
-    cover the 2m positions of the class with these ``offset_intervals``
-    once each and step between the sides along its edges."""
-    m, covered = len(intervals), sorted(chain.from_iterable(paths))
-    if not all(paths) or covered != list(range(2 * m)):
-        return False
-    for path in paths:
-        for a, b in zip(path, path[1:]):
-            a, b = (a, b) if a < b else (b, a)  # side-1, side-2 position
-            lo, hi = intervals[a] if a < m <= b else (1, 0)
-            if not lo <= b - m <= hi:
-                return False
-    return True
-
-
 def _flow_amounts_hold(graph: OrbitGraph, paths) -> bool:
-    """The triple part of ``_saturating_path_flow``: whether, with the
-    graph's weights, the amounts f(e0) = w(v0) and f(et) = w(vt) -
-    f(e(t-1)) along each path v0 ... vL stay >= 0 and end at w(vL)."""
+    """Whether certified ``paths`` carry a flow along graph edges that
+    saturates both sides, so that the MWIS is ``sum(graph.weights)``:
+    whether the amounts f(e0) = w(v0) and f(et) = w(vt) - f(e(t-1))
+    along each path v0 ... vL stay >= 0 and end at w(vL)."""
     both = graph.weights * 2
     for path in paths:
         amount = 0  # the flow on the edge into the next vertex
@@ -540,25 +521,44 @@ def _flow_amounts_hold(graph: OrbitGraph, paths) -> bool:
     return True
 
 
-def _saturating_path_flow(graph: OrbitGraph, paths) -> bool:
-    """Whether ``paths``, in the positions of ``offset_paths``, carry a
-    flow along graph edges that saturates every vertex of both sides, so
-    that a minimum vertex cover weighs one side and the MWIS is
-    ``sum(graph.weights)``.  Returns False, without raising, if not."""
-    return (_flow_paths_fit(graph.offset_intervals, paths)
-            and _flow_amounts_hold(graph, paths))
+def _structure_holds(intervals: tuple, paths, edge_types) -> bool:
+    """Whether ``paths`` (positions in ``side1 + side2``) and their
+    ``edge_types`` pass, in offsets, every structural check that
+    validate_decomposition makes in the class with these intervals: the
+    paths partition the 2m positions; each step joins the two sides along
+    an interval edge, typed 1 on j + u = m - 1, 2 on other equal offsets
+    and 3 otherwise; mirror edges take the even steps and only those; and
+    every path has an even vertex count and a middle of type 2 or a
+    fixed-point mirror.  Returns False, without raising, if not."""
+    m = len(intervals)
+    if len(paths) != len(edge_types) or \
+            sorted(chain.from_iterable(paths)) != list(range(2 * m)):
+        return False
+    for path, types in zip(paths, edge_types):
+        if len(path) % 2 or len(types) != len(path) - 1:
+            return False
+        middle = len(path) // 2 - 1
+        for step, (a, b, ty) in enumerate(zip(path, path[1:], types)):
+            j, u = (a, b - m) if a < b else (b, a - m)  # side-1, side-2
+            lo, hi = intervals[j] if j < m else (1, 0)
+            if not lo <= u <= hi or (step % 2 == 0) != (ty == 1) or \
+                    ty != (1 if j + u == m - 1 else 2 if j == u else 3):
+                return False
+            if step == middle and not (ty == 2 or ty == 1 and j == u):
+                return False
+    return True
 
 
 @lru_cache(maxsize=1024)  # the classes of _class_chains
-def _class_flow_paths(intervals: tuple):
-    """The class's ``_class_chains`` paths if they pass
-    ``_flow_paths_fit``, else None, also when building them raises:
-    lemma 1 reads a certificate off the chains, not rests on them."""
+def _class_certificate(intervals: tuple):
+    """The class's ``_class_chains`` paths if ``_structure_holds``, else
+    None, also when building them raises: lemma 1 and the chains verdict
+    read a certificate off the construction, not rest on it."""
     try:
-        paths = _class_chains(intervals)[0]
+        paths, edge_types = _class_chains(intervals)
     except (TypedEdgeNotInW, DecompositionViolation):
         return None
-    return paths if _flow_paths_fit(intervals, paths) else None
+    return paths if _structure_holds(intervals, paths, edge_types) else None
 
 
 def _orbit_masks(params: Params, profile: int):

@@ -24,10 +24,10 @@ from .extremal import (check_mirror_weight_ordering, check_offset_weight_orderin
 from .oracle import (DEFAULT_ORACLE_CAP, _iter_conflict_rows,
                      conflict_graph_mis, max_sum_nonempty_unreduced,
                      verify_theorem)
-from .orbitgraph import (_class_chains, _class_flow_paths, _decompose,
-                         _flow_amounts_hold, _orbit_masks, _transposed,
-                         _verdict_by_offsets, build_orbit_graph,
-                         check_biregularity, validate_decomposition)
+from .orbitgraph import (_class_certificate, _decompose, _flow_amounts_hold,
+                         _orbit_masks, _transposed, _verdict_by_offsets,
+                         build_orbit_graph, check_biregularity,
+                         validate_decomposition)
 from .report import ReportBundle, Verdict
 from .sets import Params, binom
 
@@ -130,13 +130,13 @@ def _check_theorem(params: Params, spec: SweepSpec):
 def _check_lemma1(params: Params, spec: SweepSpec):
     """The orbit-graph MWIS against |C| - 1: one side's weight when the
     class's chain paths carry a flow that saturates both sides, else the
-    bipartite MWIS.  Their fit to the class's edges is checked once per
-    class, by ``_class_flow_paths``; only their amounts, per triple."""
+    bipartite MWIS.  Their structure is checked once per class, by
+    ``_class_certificate``; only their amounts, per triple."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    paths = _class_flow_paths(graph.offset_intervals)
+    paths = _class_certificate(graph.offset_intervals)
     if paths is not None and _flow_amounts_hold(graph, paths):
         weight = sum(graph.weights)
     else:
@@ -173,35 +173,22 @@ def _check_lemma2(params: Params, spec: SweepSpec):
     yield check_offset_weight_ordering(params)
 
 
-#: The offset intervals (``OrbitGraph.offset_intervals``, which name a
-#: chain class) of each class whose decomposition, its ``_class_chains``
-#: paths, passed the validator in the current sweep.  Cleared when a
-#: sweep starts and ends; each worker process of a sweep fills its own.
-_VALIDATED_CLASSES = set()
-
-
 def _check_chains(params: Params, spec: SweepSpec):
-    """The chain decomposition's verdict, validated in full until a
-    decomposition of its class has passed in this sweep.
+    """The chain decomposition's verdict: from its weights alone when its
+    class's ``_class_certificate`` holds, else validated in full, so a
+    class that fails keeps the validator's vertex-level witnesses.
 
     The decomposition and every structural check depend on the class
-    alone (see the ``orbitgraph`` docstring).  So once a decomposition
-    of a class has passed validate_decomposition, a later triple of the
-    class runs only the weight checks, on its own weights, and gets the
+    alone (see the ``orbitgraph`` docstring), so the certificate leaves
+    each triple the weight checks, on its own weights, and yet gives the
     validator's verdict, failing or not."""
     if params.s < 2 or params.l < 0:
         yield Verdict(None, params, detail=NEEDS_ORBIT_LAYER)
         return
     graph = build_orbit_graph(params)
-    key = graph.offset_intervals
-    if key in _VALIDATED_CLASSES:
-        yield _verdict_by_offsets(graph, _class_chains(key)[0])
-        return
-    dec = _decompose(graph)
-    verdict = validate_decomposition(dec, graph)
-    if verdict.passed:
-        _VALIDATED_CLASSES.add(key)
-    yield verdict
+    paths = _class_certificate(graph.offset_intervals)
+    yield (_verdict_by_offsets(graph, paths) if paths is not None
+           else validate_decomposition(_decompose(graph), graph))
 
 
 def _interval_rule(params: Params, i: int, t: int) -> bool:
@@ -356,17 +343,13 @@ def iter_records(spec: SweepSpec):
     sorting within each triple gives the order of one global sort.
     """
     triples = spec.instances()
-    _VALIDATED_CLASSES.clear()
-    try:
-        if spec.jobs > 1:
-            with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-                for records in pool.map(_run_instance, repeat(spec), triples):
-                    yield from records
-        else:
-            for triple in triples:
-                yield from _run_instance(spec, triple)
-    finally:
-        _VALIDATED_CLASSES.clear()
+    if spec.jobs > 1:
+        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+            for records in pool.map(_run_instance, repeat(spec), triples):
+                yield from records
+    else:
+        for triple in triples:
+            yield from _run_instance(spec, triple)
 
 
 def report_meta(spec: SweepSpec) -> dict:

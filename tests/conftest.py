@@ -1,14 +1,13 @@
 """Shared brute-force oracles and generators for the test suite."""
 
 import random
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from crossint import (Family, FlowNetwork, KSet, Params,
                       build_extremal_family, is_s_cross_intersecting,
-                      max_flow, sweep)
+                      max_flow, orbitgraph)
 
 
 def exhaustive_mwis(side1, side2, edges):
@@ -97,19 +96,34 @@ def small_graph_params(k_max=12, l_max=8):
     return out
 
 
+def clear_class_caches():
+    """Empty the per-class caches of the chain paths and their
+    certificate, which a broken construction would otherwise outlive."""
+    orbitgraph._class_chains.cache_clear()
+    orbitgraph._class_certificate.cache_clear()
+
+
+@pytest.fixture
 def break_chain_decompositions(monkeypatch):
-    """Make the sweep validate broken decompositions: the first two
-    vertices of the first path swap places, so a same-side pair becomes
-    consecutive and the path can no longer pass validation."""
-    decompose = sweep._decompose
+    """A function that breaks the class construction until the test
+    ends: the first two vertices of each class's first path swap
+    places, so a same-side pair becomes consecutive and the path can no
+    longer pass its class certificate or validation.  The class caches
+    are cleared when the break goes in and when the test ends, so a
+    break installed between two calls in one process is seen."""
+    walk = orbitgraph._walk_chains
 
-    def broken(graph):
-        dec = decompose(graph)
-        path = dec.paths[0]
-        swapped = (path[1], path[0]) + path[2:]
-        return replace(dec, paths=(swapped,) + dec.paths[1:])
+    def broken(m, typed):
+        paths, edge_types = walk(m, typed)
+        path = paths[0]
+        return ((path[1], path[0]) + path[2:],) + paths[1:], edge_types
 
-    monkeypatch.setattr(sweep, "_decompose", broken)
+    def install():
+        clear_class_caches()
+        monkeypatch.setattr(orbitgraph, "_walk_chains", broken)
+
+    yield install
+    clear_class_caches()
 
 
 def random_cross_pair(rng: random.Random, n, k, s):

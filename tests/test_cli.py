@@ -9,8 +9,6 @@ from crossint import (ConfigError, CrossIntError, Params, Verdict, cli,
 from crossint.cli import main
 from crossint.sweep import iter_records
 
-from conftest import break_chain_decompositions
-
 
 class TestSweepCommands:
     def test_verify_pass_exit_zero(self, capsys):
@@ -26,15 +24,17 @@ class TestSweepCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["pass"] == 6
 
-    def test_check_chains_failure_exit_one(self, capsys, monkeypatch):
+    def test_check_chains_failure_exit_one(self, capsys,
+                                           break_chain_decompositions):
         argv = ["check-chains", "--k", "5", "--s", "2", "--l", "0"]
         assert main(argv) == 0
-        break_chain_decompositions(monkeypatch)
+        break_chain_decompositions()
         assert main(argv) == 1
 
     def test_check_chains_records_do_not_depend_on_jobs(self, capsys):
-        # each worker process keeps its own class memo, so which triple of
-        # a class it validates in full differs from the one-process sweep
+        # each worker process fills its own class certificate cache, so
+        # which triple of a class builds it differs from the one-process
+        # sweep
         argv = ["check-chains", "--k-range", "3:9", "--s-range", "2:4",
                 "--l-range", "0:4"]
         records = {}

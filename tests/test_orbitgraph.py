@@ -17,8 +17,8 @@ from crossint import (CrossIntError, DecompositionViolation,
                       min_pair_intersection, orbit_weight, path_mwis,
                       max_weight_independent_set, size_extremal_family,
                       validate_decomposition)
-from crossint.orbitgraph import (_flow_amounts_hold, _flow_paths_fit,
-                                 _path_failures, _saturating_path_flow,
+from crossint.orbitgraph import (_class_certificate, _flow_amounts_hold,
+                                 _path_failures, _structure_holds,
                                  _typed_offsets, _walk_chains)
 from crossint.report import Verdict
 
@@ -627,6 +627,7 @@ class TestChainDecomposition:
                 assert (len(intervals), intervals[0][0]) == (m, d)
                 got = (dec.paths, dec.edge_types, dec.middles, dec.typed)
                 assert got == reference_chains(params), (m, d)
+                assert _class_certificate(intervals) == dec.offset_paths()
                 checked += 1
         assert checked == 1771
 
@@ -895,14 +896,18 @@ class TestPathMwis:
 
 
 class TestSaturatingPathFlow:
-    """lemma1's certificate: offset paths that carry a flow along graph
-    edges saturating both sides, so the MWIS is one side's weight."""
+    """lemma1's certificate: the class certificate's paths step along
+    graph edges and cover each vertex once, and on a triple's weights
+    they carry a flow that saturates both sides, so the MWIS is one
+    side's weight."""
 
     def test_chain_paths_certify_the_mwis(self):
         for params in small_graph_params():
             dec = build_chain_decomposition(params)
             graph = dec.graph
-            assert _saturating_path_flow(graph, dec.offset_paths()), params
+            paths = _class_certificate(graph.offset_intervals)
+            assert paths == dec.offset_paths(), params
+            assert _flow_amounts_hold(graph, paths), params
             assert sum(graph.weights) == max_weight_independent_set(
                 graph.as_bipartite())[1], params
 
@@ -910,39 +915,74 @@ class TestSaturatingPathFlow:
     #: at 2 and 3, edges 0-2, 0-3 and 1-2; its one chain path is PATH,
     #: with amounts 20, 40, 20 and then 20 at its last vertex.
     GRAPH = build_orbit_graph(Params(9, 4, 2))
-    PATH = (1, 2, 0, 3)
+    PATH, TYPES = (1, 2, 0, 3), (1, 2, 1)
+    #: (7, 3, 2): one offset a side, joined by a fixed-point mirror edge
+    SMALL = build_orbit_graph(Params(7, 3, 2))
+    #: (11, 6, 2): four offsets a side and one path of eight vertices,
+    #: whose offset edges (type 3) sit on its second and sixth steps
+    LONG = build_orbit_graph(Params(11, 6, 2))
+    LONG_PATH, LONG_TYPES = (3, 4, 2, 5, 1, 6, 0, 7), (1, 3, 1, 2, 1, 3, 1)
 
     def test_holds_both_ways_along_the_path(self):
-        for path in (self.PATH, self.PATH[::-1]):
-            assert _saturating_path_flow(self.GRAPH, (path,))
-            assert _flow_paths_fit(self.GRAPH.offset_intervals, (path,))
-            assert _flow_amounts_hold(self.GRAPH, (path,))
+        for graph, path, types in ((self.GRAPH, self.PATH, self.TYPES),
+                                   (self.LONG, self.LONG_PATH,
+                                    self.LONG_TYPES)):
+            intervals = graph.offset_intervals
+            assert orbitgraph._class_chains(intervals) == ((path,), (types,))
+            for way in ((path,), (types,)), ((path[::-1],), (types[::-1],)):
+                assert _structure_holds(intervals, *way)
+                assert _flow_amounts_hold(graph, way[0])
 
-    # each input fails exactly one condition: a class input the class
-    # check alone, with amounts that hold along its paths, and a triple
-    # input the amount check alone, on paths that fit the class
-    @pytest.mark.parametrize("weights,paths,part", [
-        pytest.param((60, 20), (PATH, ()), "class", id="extra empty path"),
-        pytest.param((60, 20), (PATH, PATH), "class", id="repeated vertex"),
-        pytest.param((60, 20), ((0, 2),), "class", id="vertices left out"),
-        pytest.param((60, 20), ((1, 0, 2, 3),), "class",
+    # a class input fails the structure check, with amounts that hold
+    # along its paths, and a triple input the amount check alone, on
+    # paths whose structure holds.  Such paths read as palindromes in
+    # profiles, so their last amount is always zero: a last amount that
+    # differs comes only with a failing structure
+    @pytest.mark.parametrize("graph,weights,paths,types,part", [
+        pytest.param(GRAPH, (60, 20), (PATH, ()), (TYPES, ()), "class",
+                     id="extra empty path"),
+        pytest.param(GRAPH, (60, 20), (PATH, PATH), (TYPES, TYPES), "class",
+                     id="repeated vertex"),
+        pytest.param(GRAPH, (60, 20), ((0, 2),), ((2,),), "class",
+                     id="vertices left out"),
+        pytest.param(GRAPH, (60, 20), ((1, 0, 2, 3),), (TYPES,), "class",
                      id="same-side step on side 1"),
-        pytest.param((20, 20), ((1, 2, 3, 0),), "class",
+        pytest.param(GRAPH, (20, 20), ((1, 2, 3, 0),), (TYPES,), "class",
                      id="same-side step on side 2"),
-        pytest.param((60, 20), ((1, 3, 0, 2),), "class",
+        # intervals tampered to drop the equal pair (0, 0) of PATH
+        pytest.param(replace(GRAPH, offset_intervals=((1, 1), (0, 0))),
+                     (60, 20), (PATH,), (TYPES,), "class",
                      id="step off the graph"),
-        pytest.param((20, 60), ((3, 0, 2, 1),), "triple",
+        pytest.param(GRAPH, (60, 20), (PATH,), (), "class",
+                     id="type rows do not line up"),
+        pytest.param(GRAPH, (60, 20), (PATH,), (TYPES[:2],), "class",
+                     id="type row too short"),
+        pytest.param(SMALL, (0,), ((0,), (1,)), ((), ()), "class",
+                     id="odd vertex count"),
+        pytest.param(GRAPH, (20, 20), ((1, 2), (0, 3)), ((1,), (1,)),
+                     "class", id="mirror middle off the fixed point"),
+        # intervals tampered to hold the equal pairs only
+        pytest.param(replace(GRAPH, offset_intervals=((0, 0), (1, 1))),
+                     (20, 20), ((0, 2), (1, 3)), ((2,), (2,)), "class",
+                     id="even step without a mirror edge"),
+        pytest.param(LONG, (1,) * 4, (LONG_PATH,), ((1, 2, 1, 2, 1, 3, 1),),
+                     "class", id="type contradicts its form"),
+        pytest.param(LONG, (1,) * 4, (LONG_PATH,), ((1, 3, 1, 1, 1, 3, 1),),
+                     "class", id="mirror edge on an odd step"),
+        pytest.param(LONG, (1,) * 4, (LONG_PATH[:4], LONG_PATH[4:]),
+                     (LONG_TYPES[:3], LONG_TYPES[4:]), "class",
+                     id="type-3 middle"),
+        pytest.param(GRAPH, (20, 60), ((3, 0, 2, 1),), (TYPES,), "triple",
                      id="negative amount"),
-        pytest.param((60, 20), ((1, 2, 0), (3,)), "triple",
-                     id="last amount differs"),
+        pytest.param(GRAPH, (60, 20), ((1, 2, 0), (3,)), ((1, 2), ()),
+                     "both", id="last amount differs"),
     ])
-    def test_fails_without_raising(self, weights, paths, part):
-        graph = replace(self.GRAPH, weights=weights)
-        fits = _flow_paths_fit(graph.offset_intervals, paths)
-        holds = _flow_amounts_hold(graph, paths)
-        assert (fits, holds) == ((False, True) if part == "class"
-                                 else (True, False))
-        assert _saturating_path_flow(graph, paths) is False
+    def test_fails_without_raising(self, graph, weights, paths, types, part):
+        graph = replace(graph, weights=weights)
+        holds = (_structure_holds(graph.offset_intervals, paths, types),
+                 _flow_amounts_hold(graph, paths))
+        assert holds == {"class": (False, True), "triple": (True, False),
+                         "both": (False, False)}[part]
 
 
 class TestBiregularity:

@@ -17,7 +17,7 @@ from crossint.oracle import _conflict_rows, _iter_conflict_rows
 from crossint.report import CSV_COLUMNS, Verdict
 from crossint.sweep import CHECK_NAMES
 
-from conftest import break_chain_decompositions, dinic_mwis
+from conftest import clear_class_caches, dinic_mwis
 
 
 def strip_timings(records):
@@ -102,9 +102,10 @@ class TestRunSweep:
         assert bundle.summary["skip"] == 1
         assert "cap" in bundle.records[0]["detail"]
 
-    def test_chains_failure_is_reported_not_raised(self, monkeypatch):
+    def test_chains_failure_is_reported_not_raised(
+            self, break_chain_decompositions):
         # a broken decomposition is an honest fail, not an exception
-        break_chain_decompositions(monkeypatch)
+        break_chain_decompositions()
         spec = SweepSpec(ks=(5,), ss=(2,), ls=(0,), checks=("chains",))
         bundle = run_sweep(spec)
         assert bundle.summary["fail"] == 1
@@ -181,7 +182,8 @@ class TestRunSweep:
         assert audited["millis"] >= 300
         assert theorem["millis"] < 300
 
-    def test_only_pass_and_fail_records_are_timed(self):
+    def test_only_pass_and_fail_records_are_timed(
+            self, break_chain_decompositions):
         # every check passes and skips (s = 1, l < 0, C(n,k) over the cap,
         # the deep audit over its own), and chains fail (broken paths);
         # every record has one layout
@@ -189,18 +191,17 @@ class TestRunSweep:
                          checks=CHECK_NAMES, cap=60, deep_audit=True)
         seen = set()
         renamed_skips = set()
-        with pytest.MonkeyPatch.context() as patch:
-            break_chain_decompositions(patch)
-            for rec in sweep.iter_records(spec):
-                assert list(rec) == RECORD_KEYS, rec
-                seen.add((rec["check"], rec["status"]))
-                if rec["status"] == "skip":
-                    assert rec["millis"] is None, rec
-                    if rec["claim"] != rec["check"]:
-                        renamed_skips.add((rec["check"], rec["claim"]))
-                        assert "deep-audit cap" in rec["detail"], rec
-                else:
-                    assert type(rec["millis"]) is float and rec["millis"] >= 0, rec
+        break_chain_decompositions()
+        for rec in sweep.iter_records(spec):
+            assert list(rec) == RECORD_KEYS, rec
+            seen.add((rec["check"], rec["status"]))
+            if rec["status"] == "skip":
+                assert rec["millis"] is None, rec
+                if rec["claim"] != rec["check"]:
+                    renamed_skips.add((rec["check"], rec["claim"]))
+                    assert "deep-audit cap" in rec["detail"], rec
+            else:
+                assert type(rec["millis"]) is float and rec["millis"] >= 0, rec
         assert {status for _, status in seen} == {"pass", "fail", "skip"}
         assert {(name, "skip") for name in CHECK_NAMES} <= seen
         assert {(name, "pass") for name in CHECK_NAMES if name != "chains"} \
@@ -250,7 +251,7 @@ class TestRunSweep:
             strip_timings(run_sweep(spec2).records)
 
     def test_parallel_chains_equal_sequential(self):
-        # each worker fills its own class memo
+        # each worker fills its own class certificate cache
         grid = dict(ks=tuple(range(3, 13)), ss=tuple(range(2, 7)),
                     ls=tuple(range(9)), checks=("chains",))
         records = strip_timings(run_sweep(SweepSpec(**grid)).records)
@@ -440,11 +441,10 @@ class TestWriteRecords:
 
 
 class TestBuildOnce:
-    """One orbit-graph build per triple and check; chains classifies
-    each chain class (k - s, max(0, k - 2s - l)) once, at its first
-    triple, and lemma1 reads the class's cached paths without
-    classifying: the sweep never rebuilds an instance or reclassifies a
-    class."""
+    """One orbit-graph build per triple and check; lemma1 and a passing
+    chains sweep read each class's cached certificate, in offsets,
+    without classifying a triple's edges: the sweep never rebuilds an
+    instance or classifies one that passes."""
 
     def count_calls(self, monkeypatch):
         calls = {"build": [], "classify": []}
@@ -464,7 +464,7 @@ class TestBuildOnce:
         monkeypatch.setattr(orbitgraph, "classify_edges", counted_classify)
         return calls
 
-    @pytest.mark.parametrize("check,classified", [("chains", 1), ("lemma1", 0)])
+    @pytest.mark.parametrize("check,classified", [("chains", 0), ("lemma1", 0)])
     def test_one_build_per_triple(self, monkeypatch, check, classified):
         calls = self.count_calls(monkeypatch)
         spec = SweepSpec(ks=tuple(range(3, 9)), ss=(2, 3, 4), ls=(0, 1, 2, 3),
@@ -527,10 +527,10 @@ def count_validations(monkeypatch):
 
 
 class TestChainClasses:
-    """check-chains validates a class's decomposition in full until one
-    passes, keyed by the orbit graph's offset intervals, and then checks
-    only the weights of the class's other triples; every record equals
-    the full validator's."""
+    """check-chains checks a class's structure once, by its certificate
+    in offsets keyed by the orbit graph's offset intervals, and then
+    only the weights of each of its triples; every record equals the
+    full validator's."""
 
     #: n = 21 and 9 <= k <= 13: the class (k - s, k - 2s - l) = (7, 1),
     #: whose paths have 6, 4 and 4 vertices, has five triples, s = 2..6;
@@ -571,12 +571,11 @@ class TestChainClasses:
     def test_tampered_triple_fails_with_the_validators_witness(
             self, monkeypatch):
         assert len(self.CLASS) == 5
-        first, tampered = self.CLASS[0], self.CLASS[2]
-        tamper_weights(monkeypatch, tampered)
+        tamper_weights(monkeypatch, self.CLASS[2])
         validated = count_validations(monkeypatch)
         records = self.class_records()
-        # the first triple in full; the tampered one by its weights alone
-        assert [p for p in validated if p in self.CLASS] == [first]
+        # every triple by its weights alone: its class certificate holds
+        assert validated == []
         assert [rec["status"] for rec in records] == \
             ["pass", "pass", "fail", "pass", "pass"]
         assert records == [full_chains_record(p) for p in self.CLASS]
@@ -585,10 +584,12 @@ class TestChainClasses:
 
     def test_failed_first_triple_leaves_its_class_to_the_next_pass(
             self, monkeypatch):
+        # a weight failure says nothing of the class's structure: no
+        # triple of it is validated in full, and the later ones pass
         tamper_weights(monkeypatch, self.CLASS[0])
         validated = count_validations(monkeypatch)
         records = self.class_records()
-        assert [p for p in validated if p in self.CLASS] == self.CLASS[:2]
+        assert validated == []
         assert [rec["status"] for rec in records] == \
             ["fail", "pass", "pass", "pass", "pass"]
         assert records == [full_chains_record(p) for p in self.CLASS]
@@ -609,42 +610,50 @@ class TestChainClasses:
         assert info.hits == 12586 - 379
 
     def test_memo_entry_of_other_intervals_is_never_read(self, monkeypatch):
-        # a class validated under other intervals must not spare this
-        # triple its full validation
+        # a failed certificate cached under other intervals (the first
+        # loses its mirror offset) must not send this triple to the full
+        # validator: it reads the certificate of its own intervals
         params = self.CLASS[1]
         intervals = orbitgraph.build_orbit_graph(params).offset_intervals
         wrong = ((intervals[0][0], intervals[0][1] - 1),) + intervals[1:]
-        monkeypatch.setattr(sweep, "_VALIDATED_CLASSES", {wrong})
+        clear_class_caches()
+        assert orbitgraph._class_certificate(wrong) is None
         validated = count_validations(monkeypatch)
         records = check_records("chains", params, self.SPEC)
-        assert validated == [params]
+        info = orbitgraph._class_certificate.cache_info()
+        assert validated == []
         assert strip_timings(records) == [full_chains_record(params)]
-        assert sweep._VALIDATED_CLASSES == {wrong, intervals}
-        # the paths a later triple of the class is checked on are the
-        # validated decomposition's
-        assert orbitgraph._class_chains(intervals)[0] == \
+        assert (info.hits, info.misses) == (0, 2)
+        # the paths every triple of the class is checked on are the
+        # decomposition's
+        assert orbitgraph._class_certificate(intervals) == \
             build_chain_decomposition(params).offset_paths()
 
     def test_lemma1_and_chains_validate_each_class_once(self, monkeypatch):
+        # one certificate per class serves both checks, and no triple
+        # goes to the full validator
         spec = replace(self.SPEC, checks=("lemma1", "chains"), cap=1)
         validated = count_validations(monkeypatch)
+        clear_class_caches()
         records = strip_timings(run_sweep(spec).records)
+        info = orbitgraph._class_certificate.cache_info()
         # the grid's triples with slack l < 0 skip both checks
         triples = [p for p in (Params(*t) for t in spec.instances()) if p.l >= 0]
         classes = sorted({chain_class(p) for p in triples})
-        assert sorted(map(chain_class, validated)) == classes
-        assert len(classes) < len(triples)
+        assert validated == []
+        assert info.misses == len(classes) < len(triples)
+        assert info.hits == 2 * len(triples) - len(classes)
         orbit = [rec for rec in records if rec["l"] >= 0]
         assert {rec["status"] for rec in orbit} == {"pass"}
         assert [rec for rec in orbit if rec["check"] == "chains"] == \
             [full_chains_record(p) for p in triples]
 
-    def test_memo_lives_for_one_sweep(self, monkeypatch):
-        # a second sweep validates its classes afresh, so a broken build
-        # installed between two sweeps is seen
+    def test_broken_build_between_two_sweeps_is_seen(
+            self, break_chain_decompositions):
+        # the class caches outlive a sweep; installing the broken build
+        # empties them, so the second sweep certifies its classes afresh
         assert run_sweep(self.SPEC).passed
-        assert sweep._VALIDATED_CLASSES == set()
-        break_chain_decompositions(monkeypatch)
+        break_chain_decompositions()
         bundle = run_sweep(self.SPEC)
         assert bundle.summary["pass"] == 0 and bundle.summary["fail"] > 5
 
@@ -693,13 +702,13 @@ class TestLemma1Route:
 
     def flows_and_verdicts(self, monkeypatch):
         """Each triple's path-flow result, the amount check the sweep
-        runs on its class's fitting paths, and its lemma1 status, after
-        asserting its records equal the reference."""
-        monkeypatch.setattr(sweep, "_VALIDATED_CLASSES", set())
+        runs on its class certificate's paths, and its lemma1 status,
+        after asserting its records equal the reference."""
         flows, certify = {}, sweep._flow_amounts_hold
 
         def recorded(graph, paths):
-            assert orbitgraph._flow_paths_fit(graph.offset_intervals, paths)
+            assert paths is orbitgraph._class_certificate(
+                graph.offset_intervals)
             flows[graph.params] = certify(graph, paths)
             return flows[graph.params]
 
@@ -731,19 +740,19 @@ class TestLemma1Route:
         # the orbit-sweep workload's grid: 12,586 triples in 379 classes
         spec = SweepSpec(ks=tuple(range(3, 31)), ss=tuple(range(2, 30)),
                          ls=tuple(range(31)), checks=("lemma1",), cap=1)
-        fitted, fit = [], orbitgraph._flow_paths_fit
+        fitted, holds = [], orbitgraph._structure_holds
 
-        def counted(intervals, paths):
+        def counted(intervals, paths, edge_types):
             fitted.append(intervals)
-            return fit(intervals, paths)
+            return holds(intervals, paths, edge_types)
 
-        monkeypatch.setattr(orbitgraph, "_flow_paths_fit", counted)
-        orbitgraph._class_flow_paths.cache_clear()
+        monkeypatch.setattr(orbitgraph, "_structure_holds", counted)
+        clear_class_caches()
         try:
             statuses = [rec["status"] for rec in sweep.iter_records(spec)]
-            info = orbitgraph._class_flow_paths.cache_info()
+            info = orbitgraph._class_certificate.cache_info()
         finally:
-            orbitgraph._class_flow_paths.cache_clear()
+            clear_class_caches()
         assert statuses == ["pass"] * 12586
         assert len(fitted) == len(set(fitted)) == info.misses == 379
         assert info.hits == 12586 - 379
@@ -765,8 +774,7 @@ class TestLemma1Route:
 
         monkeypatch.setattr(orbitgraph, "_typed_offsets", broken)
         monkeypatch.setattr(sweep, "max_weight_independent_set", counted)
-        orbitgraph._class_chains.cache_clear()
-        orbitgraph._class_flow_paths.cache_clear()
+        clear_class_caches()
         try:
             out = tmp_path / "lemma1.json"
             assert main(["check-lemmas", "--k", "5", "--s", "2", "--l", "1",
@@ -779,8 +787,7 @@ class TestLemma1Route:
                          "--out", str(tmp_path / "chains.json")]) == 2
             assert not (tmp_path / "chains.json").exists()
         finally:
-            orbitgraph._class_chains.cache_clear()
-            orbitgraph._class_flow_paths.cache_clear()
+            clear_class_caches()
 
 
 def edges_triples(n_max):
